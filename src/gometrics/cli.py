@@ -273,6 +273,8 @@ _VERDICT_EXITS = {
 
 
 def cmd_go_check(args, config: RunConfig) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     coefficients, any_decimal = parse_metric_spec(args.metric)
     if config.mode == "exact" and any_decimal:
         raise UsageError(

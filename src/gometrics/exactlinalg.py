@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from .scalars import Quad, exact_div, is_exact
+from .scalars import exact_div, is_exact
 
 
 def _is_zero(x) -> bool:
@@ -142,7 +142,6 @@ def intersect_spans(a_vectors, b_vectors):
         return []
     n = len(a_vectors[0])
     # columns [A | -B]; kernel elements give intersection vectors A ca
-    cols = len(a_vectors) + len(b_vectors)
     m = [
         [a_vectors[j][i] for j in range(len(a_vectors))]
         + [-b_vectors[j][i] for j in range(len(b_vectors))]
@@ -158,7 +157,6 @@ def intersect_spans(a_vectors, b_vectors):
         # independent subset only
         if any(not _is_zero(x) for x in vec) and not in_span(out, vec):
             out.append(vec)
-    assert cols >= 0
     return out
 
 

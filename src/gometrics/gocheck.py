@@ -11,12 +11,24 @@ algebra: exactly (rank comparison over Q(sqrt(D))) when the inputs are
 exact, numerically (least squares plus singular-value analysis)
 otherwise, with an arbitrary-precision retry in the ambiguous band.
 
-Three equivalent front-ends are provided: the direct system over the
-isotropy algebra, a reduced system that may include extra isometry
-generators, and the normal-form system that searches for a bracket
-compensator in the centralizer of the isotropy algebra.  A left-
-invariant metric on the group itself is handled by
-``lie_group_go_check`` via the commutation kernel of the metric.
+All four formulations share one builder, ``_geodesic_system``: for
+generators w_j it solves sum_j z_j p([A X, w_j]) = -p([A X, X]) for a
+linear pairing p chosen by the formulation.  For the direct and reduced
+systems p pairs against the complement basis, which gives the lemma's
+system entry for entry: with proj_m the orthogonal projection (self-
+adjoint) and A X in m,
+
+    <proj_m [W, Y], A X> = <[W, Y], A X> = -<Y, [W, A X]> = <[A X, W], Y>
+
+by ad-invariance of the inner product, which
+``CompactLieAlgebra.validate`` checks.  So A X must lie in the
+complement; ``go_feasible_reduced`` rejects exact input where it does
+not.  The normal-transitive system pairs against the orthogonal
+complement of the isotropy algebra and takes generators from the
+isotropy and from its centralizer in the complement, both computed once
+per space.  A left-invariant metric on the group itself is handled by
+``lie_group_go_check``: coordinates are the pairing and the generators
+span the commutation kernel of the metric.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cached_property
 
 import mpmath as mp
 import numpy as np
@@ -87,6 +100,15 @@ class ReductiveSpace:
                 if not m.contains(L.bracket(w, y)):
                     raise SpaceValidationError("complement is not ad(isotropy)-invariant")
 
+    @cached_property
+    def _normal_transitive_bases(self):
+        """(generators, pairing basis) of the normal-transitive system:
+        the isotropy plus its centralizer in the complement, and the
+        orthogonal complement of the isotropy."""
+        L, h = self.algebra, self.isotropy
+        cm = centralizer(L, h).intersect(self.complement, label="centralizer-in-complement")
+        return h.basis + cm.basis, h.orthogonal_complement(label="h-perp").basis
+
     @property
     def is_orthogonal(self) -> bool:
         for u in self.isotropy.basis:
@@ -139,9 +161,7 @@ def _lstsq_stats(Mf: np.ndarray, bf: np.ndarray, scale_hint: float = 0.0):
 
 def _mpmath_retry(Mf: np.ndarray, bf: np.ndarray, dps: int, scale_hint: float = 0.0):
     """Least squares through an SVD at dps digits; returns (z, rel)."""
-    old = mp.mp.dps
-    try:
-        mp.mp.dps = dps
+    with mp.workdps(dps):
         A = mp.matrix(Mf.tolist())
         b = mp.matrix([[v] for v in bf.tolist()])
         U, S, V = mp.svd_r(A)
@@ -160,8 +180,6 @@ def _mpmath_retry(Mf: np.ndarray, bf: np.ndarray, dps: int, scale_hint: float = 
         denom = max(mp.norm(b), mnorm * mp.norm(z), mnorm * mp.mpf(scale_hint))
         rel = float(rnorm / denom) if denom > 0 else 0.0
         return [float(z[i]) for i in range(z.rows)], rel
-    finally:
-        mp.mp.dps = old
 
 
 def solve_linear_feasibility(
@@ -218,26 +236,19 @@ def solve_linear_feasibility(
     return FeasibilityResult("indeterminate", rel2, None, "mpmath", sigma_ratio=sratio)
 
 
-def _metric_apply(metric: MetricEndomorphism, x):
-    return metric.apply(x)
-
-
 def _norm_hint(L: CompactLieAlgebra, x) -> float:
     return float(L.inner_product([float(v) for v in x], [float(v) for v in x])) ** 0.5
 
 
-def _generator_columns(space: ReductiveSpace, metric, ax, generators):
-    """Columns <proj_m [W, Y], A X> over Y in the complement basis."""
-    L = space.algebra
-    m = space.complement
-    cols = []
-    for w in generators:
-        col = []
-        for y in m.basis:
-            br = m.project(L.bracket(w, y))
-            col.append(L.inner_product(br, ax))
-        cols.append(col)
-    return cols
+def _geodesic_system(
+    L: CompactLieAlgebra, ax, X, generators, pair, tolerances
+) -> FeasibilityResult:
+    """Solve sum_j z_j pair([A X, w_j]) = -pair([A X, X]) over the generators
+    w_j, given ax = A X."""
+    cols = [pair(L.bracket(ax, w)) for w in generators]
+    rhs = [-v for v in pair(L.bracket(ax, X))]
+    rows = [[c[i] for c in cols] for i in range(len(rhs))]
+    return solve_linear_feasibility(rows, rhs, tolerances, scale_hint=_norm_hint(L, X))
 
 
 def go_feasible_reduced(
@@ -251,25 +262,24 @@ def go_feasible_reduced(
 
     Extra generators must act on the complement by metric-skew
     operators, which holds exactly when their adjoint action preserves
-    the complement and commutes with A there; this is validated.
+    the complement and commutes with A there; this is validated.  X and
+    A X must lie in the complement, which is checked for exact input.
     """
     L = space.algebra
     m = space.complement
     if ela.all_exact(X) and not m.contains(X):
         raise ValueError("X must lie in the complement")
+    ax = metric.apply(X)
+    if ela.all_exact(ax) and not m.contains(ax):
+        raise ValueError("A X must lie in the complement")
     gens = list(space.isotropy.basis)
     if extra is not None:
         for u in extra.basis:
             _validate_skew_generator(space, metric, u)
             gens.append(u)
-    ax = _metric_apply(metric, X)
-    cols = _generator_columns(space, metric, ax, gens)
-    rhs = []
-    for y in m.basis:
-        br = m.project(L.bracket(X, y))
-        rhs.append(-L.inner_product(br, ax))
-    rows = [[cols[j][i] for j in range(len(gens))] for i in range(len(rhs))]
-    return solve_linear_feasibility(rows, rhs, tolerances, scale_hint=_norm_hint(L, X))
+    return _geodesic_system(
+        L, ax, X, gens, lambda v: [L.inner_product(v, y) for y in m.basis], tolerances
+    )
 
 
 def go_feasible_direct(
@@ -288,10 +298,13 @@ def _validate_skew_generator(space: ReductiveSpace, metric: MetricEndomorphism, 
     exact = metric.is_exact and ela.all_exact(u)
     for y in m.basis:
         img = L.bracket(u, y)
-        if ela.all_exact(img) and not m.contains(img):
+        # an exact image inside the complement is its own projection
+        if not ela.all_exact(img):
+            img = m.project(img)
+        elif not m.contains(img):
             raise SpaceValidationError("extra generator does not preserve the complement")
         lhs = m.project(L.bracket(u, metric.apply(y)))
-        rhs = metric.apply(m.project(img))
+        rhs = metric.apply(img)
         diff = [a - b for a, b in zip(lhs, rhs)]
         if exact:
             if not ela.vec_is_zero(diff):
@@ -311,19 +324,10 @@ def go_feasible_normal_transitive(
     [A X, X + V + W] falls back into the isotropy algebra.
     """
     L = space.algebra
-    h, m = space.isotropy, space.complement
-    cm = centralizer(L, h).intersect(m, label="centralizer-in-complement")
-    ax = _metric_apply(metric, X)
-    gens = list(h.basis) + list(cm.basis)
-    mperp = h.orthogonal_complement(label="h-perp")
-    rows = []
-    rhs_vec = L.bracket(ax, X)
-    rhs = []
-    for u in mperp.basis:
-        row = [L.inner_product(L.bracket(ax, w), u) for w in gens]
-        rows.append(row)
-        rhs.append(-L.inner_product(rhs_vec, u))
-    return solve_linear_feasibility(rows, rhs, tolerances, scale_hint=_norm_hint(L, X))
+    gens, perp = space._normal_transitive_bases
+    return _geodesic_system(
+        L, metric.apply(X), X, gens, lambda v: [L.inner_product(v, u) for u in perp], tolerances
+    )
 
 
 def lie_group_go_check(
@@ -342,15 +346,7 @@ def lie_group_go_check(
     """
     if kernel is None:
         kernel = max_right_isometry_algebra(L, metric)
-    ax = _metric_apply(metric, X)
-    rhs_vec = L.bracket(ax, X)
-    rows = []
-    rhs = []
-    cols = [L.bracket(ax, w) for w in kernel.basis]
-    for k in range(L.dim):
-        rows.append([c[k] for c in cols])
-        rhs.append(-rhs_vec[k])
-    return solve_linear_feasibility(rows, rhs, tolerances, scale_hint=_norm_hint(L, X))
+    return _geodesic_system(L, metric.apply(X), X, kernel.basis, list, tolerances)
 
 
 def sample_tangent_vectors(
@@ -495,7 +491,8 @@ def go_check(
     target is either a CompactLieAlgebra (left-invariant case) or a
     ReductiveSpace.  Directions come from ``samples`` when given,
     otherwise from ``sample_tangent_vectors`` with the stated seed and
-    strategy, so reports are reproducible byte for byte.
+    strategy, so reports are reproducible byte for byte.  No directions
+    (``count`` below 1 or empty ``samples``) raise ValueError.
     """
     tol = tolerances or Tolerances()
     group_mode = isinstance(target, CompactLieAlgebra)
@@ -506,6 +503,9 @@ def go_check(
             metric.decomposition, count, seed=seed, strategy=strategy, exact=exact
         )
     samples = [list(x) for x in samples]
+    if not samples:
+        # a verdict over no directions would certify nothing
+        raise ValueError("go_check needs at least one direction")
     results = []
     for x in samples:
         if formulation == "lie_group":

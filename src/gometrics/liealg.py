@@ -331,12 +331,15 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(b) for b in other.basis)
 
+    @cached_property
+    def _norms(self) -> tuple:
+        """<b, b> for each basis vector b, the divisors of every projection."""
+        return tuple(self.parent.inner_product(b, b) for b in self.basis)
+
     def project(self, v):
         out = [Q(0)] * self.parent.dim
-        for b in self.basis:
-            c = exact_div(
-                self.parent.inner_product(v, b), self.parent.inner_product(b, b)
-            )
+        for b, nb in zip(self.basis, self._norms):
+            c = exact_div(self.parent.inner_product(v, b), nb)
             if not _fzero(c):
                 out = [x + c * y for x, y in zip(out, b)]
         return out
@@ -344,8 +347,8 @@ class Subspace:
     def coefficients(self, v):
         """Coordinates of the projection of v in this orthogonal basis."""
         return [
-            exact_div(self.parent.inner_product(v, b), self.parent.inner_product(b, b))
-            for b in self.basis
+            exact_div(self.parent.inner_product(v, b), nb)
+            for b, nb in zip(self.basis, self._norms)
         ]
 
     def sum(self, other: "Subspace", label: str = "") -> "Subspace":
@@ -374,10 +377,7 @@ class Subspace:
         if self.dim == 0:
             return np.zeros((self.parent.dim, 0))
         cols = np.array([[float(x) for x in b] for b in self.basis]).T
-        norms = []
-        for idx in range(self.dim):
-            b = self.basis[idx]
-            norms.append(float(self.parent.inner_product(b, b)) ** 0.5)
+        norms = [float(nb) ** 0.5 for nb in self._norms]
         return cols / np.asarray(norms)[None, :]
 
     def __repr__(self):

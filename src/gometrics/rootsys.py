@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
-from .exactlinalg import dot, in_span
+from .exactlinalg import dot
 from .scalars import format_scalar
 
 Vec = tuple  # tuple of Fraction/int coordinates
@@ -226,19 +226,6 @@ def weyl_group(rs: RootSystem) -> tuple:
     return tuple(sorted(seen))
 
 
-def weyl_orbit(rs: RootSystem, seed) -> tuple:
-    """Orbit of a set of Cartan vectors under W, as a tuple of frozensets.
-
-    Each element is the image w(seed) for one Weyl element w; singleton
-    seeds therefore enumerate the vector orbit as singleton sets.
-    """
-    seed_set = frozenset(_vec(v) for v in seed)
-    images = {
-        frozenset(_mat_apply(w, v) for v in seed_set) for w in weyl_group(rs)
-    }
-    return tuple(sorted(images, key=lambda s: sorted(map(_vec_key, s))))
-
-
 def chamber_reduce(rs: RootSystem, h: Vec) -> Vec:
     """Move h into the closed dominant chamber of the positive system."""
     h = _vec(h)
@@ -300,10 +287,6 @@ def subsystems_equivalent(rs: RootSystem, a, b) -> bool:
     sa = frozenset(_vec(v) for v in a)
     sb = frozenset(_vec(v) for v in b)
     return _canonical_subset_key(rs, sa) == _canonical_subset_key(rs, sb)
-
-
-def span_contains(vectors, v) -> bool:
-    return in_span([list(u) for u in vectors], list(v))
 
 
 def to_json_dict(rs: RootSystem) -> dict:

@@ -19,7 +19,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Callable
 
 from . import exactlinalg as ela
 from .gocheck import (
@@ -165,13 +164,6 @@ def aw_obstruction(aw: AloffWallach, x1, x2, x3, X):
     return (o1, o2, o3)
 
 
-def _unit_vectors(n, weights=(1,)):
-    for i in range(n):
-        e = [Q(0)] * n
-        e[i] = Q(1)
-        yield e
-
-
 def _monomial_points_deg2(n):
     """Evaluation points that determine a homogeneous quadratic map."""
     pts = []
@@ -185,26 +177,6 @@ def _monomial_points_deg2(n):
             e[i] = Q(1)
             e[j] = Q(1)
             pts.append(e)
-    return pts
-
-
-def _monomial_points_deg3(n):
-    """Evaluation points that determine a homogeneous cubic map."""
-    pts = _monomial_points_deg2(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = [Q(0)] * n
-            e[i] = Q(1)
-            e[j] = Q(2)
-            pts.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                e = [Q(0)] * n
-                e[i] = Q(1)
-                e[j] = Q(1)
-                e[k] = Q(1)
-                pts.append(e)
     return pts
 
 

@@ -86,6 +86,9 @@ def test_go_check_g2_naturally_reductive_set_exits_0():
             "go-check", "--space", "lie:su2", "--metric", "1,1,1",
             "--tol-feas", "1e-2", "--tol-infeas", "1e-3",
         ),
+        # a sweep over no directions would certify nothing
+        ("go-check", "--space", "aw:2,1", "--metric", "1,2,3,1", "--samples", "0"),
+        ("go-check", "--space", "aw:2,1", "--metric", "1,2,3,1", "--samples", "-5"),
     ],
 )
 def test_malformed_requests_exit_2(args):

@@ -14,6 +14,7 @@ from gometrics import (
     Subspace,
     Tolerances,
     aloff_wallach,
+    aw_extended_presentation,
     aw_metric,
     build_su2,
     go_check,
@@ -25,6 +26,7 @@ from gometrics import (
     max_right_isometry_algebra,
     sample_tangent_vectors,
 )
+from gometrics import exactlinalg as ela
 from gometrics.gocheck import SpaceValidationError, solve_linear_feasibility
 
 SU2 = build_su2()
@@ -286,6 +288,83 @@ def test_direct_requires_complement_membership():
     bad = [Q(1)] + [Q(0)] * (aw.algebra.dim - 1)  # the isotropy line
     with pytest.raises(ValueError):
         go_feasible_direct(aw.space, metric, bad)
+
+
+def test_direct_requires_metric_image_in_complement():
+    # blocks e1 +- e2 mix the isotropy line e1 into the metric, so A e2
+    # leaves the complement and the geodesic system is not defined
+    h = Subspace.from_indices(SU2, [1], label="h")
+    m = Subspace.from_indices(SU2, [0, 2], label="m")
+    space = ReductiveSpace(algebra=SU2, isotropy=h, complement=m)
+    blocks = (
+        Subspace.from_vectors(SU2, [[Q(0), Q(1), Q(1)]], label="plus"),
+        Subspace.from_vectors(SU2, [[Q(0), Q(1), Q(-1)]], label="minus"),
+        Subspace.from_indices(SU2, [0], label="axis0"),
+    )
+    metric = make_metric(ModuleDecomposition(parent=SU2, blocks=blocks), [Q(1), Q(2), Q(1)])
+    with pytest.raises(ValueError):
+        go_feasible_direct(space, metric, basis_vec(2))
+    with pytest.raises(ValueError):
+        go_feasible_reduced(space, metric, basis_vec(2))
+
+
+def _projected_system(space, metric, X, generators):
+    """The geodesic lemma as written: <proj_m [W + X, Y], A X> = 0 for
+    every Y in the complement basis, as rows (over W) and right side."""
+    L, m = space.algebra, space.complement
+    ax = metric.apply(X)
+    rows = [
+        [L.inner_product(m.project(L.bracket(w, y)), ax) for w in generators]
+        for y in m.basis
+    ]
+    rhs = [-L.inner_product(m.project(L.bracket(X, y)), ax) for y in m.basis]
+    return rows, rhs
+
+
+@pytest.mark.parametrize("k,l", [(2, 1), (3, 2)])
+def test_direct_and_reduced_solve_the_projected_system(k, l):
+    aw = aloff_wallach(k, l)
+    axis = Subspace.from_indices(aw.algebra, (1,), label="axis")
+    iso = list(aw.space.isotropy.basis)
+    statuses = set()
+    for coeffs in ((1, 1, 1, 1), (1, 1, 1, 2), (1, 2, 3, 1)):
+        coeffs = [Q(c) for c in coeffs]
+        metric = aw_metric(aw, *coeffs)
+        ext = aw_extended_presentation(aw, *coeffs)
+        xs = sample_tangent_vectors(aw.blocks, 4, seed=5, strategy="cross_block", exact=True)
+        for x in map(list, xs):
+            cases = [
+                (aw.space, metric, x, iso, go_feasible_direct(aw.space, metric, x)),
+                (
+                    aw.space, metric, x, iso + list(axis.basis),
+                    go_feasible_reduced(aw.space, metric, x, extra=axis),
+                ),
+                (
+                    ext.space, ext.metric, ext.lift(x), list(ext.space.isotropy.basis),
+                    go_feasible_direct(ext.space, ext.metric, ext.lift(x)),
+                ),
+            ]
+            for space, mt, X, gens, res in cases:
+                rows, rhs = _projected_system(space, mt, X, gens)
+                assert res.method == "exact"
+                if res.feasible:
+                    for row, b in zip(rows, rhs):
+                        assert sum((r * z for r, z in zip(row, res.witness)), Q(0)) == b
+                else:
+                    assert res.status == "infeasible"
+                    aug = [r + [b] for r, b in zip(rows, rhs)]
+                    assert ela.rank(aug) == ela.rank(rows) + 1
+                statuses.add(res.status)
+    assert statuses == {"feasible", "infeasible"}
+
+
+def test_go_check_rejects_an_empty_sweep():
+    metric = su2_metric(Q(1), Q(2), Q(3))
+    for count in (0, -5):
+        with pytest.raises(ValueError):
+            go_check(SU2, metric, count=count)
+    with pytest.raises(ValueError):
+        go_check(SU2, metric, samples=[])
 
 
 def test_lie_group_formulation_rejects_space_target():

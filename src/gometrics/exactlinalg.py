@@ -96,6 +96,26 @@ def nullspace(m):
     return basis
 
 
+def is_positive_definite(m) -> bool:
+    """Exact test that the symmetric matrix m is positive definite.
+
+    Symmetric elimination without row exchanges: m is positive definite
+    exactly when every pivot is positive (Sylvester's criterion).
+    """
+    work = mat_copy(m)
+    n = len(work)
+    for t in range(n):
+        pivot = work[t][t]
+        if not pivot > 0:
+            return False
+        for r in range(t + 1, n):
+            factor = exact_div(work[r][t], pivot)
+            if not _is_zero(factor):
+                for s in range(t, n):
+                    work[r][s] -= factor * work[t][s]
+    return True
+
+
 def matvec(m, v):
     return [sum((x * y for x, y in zip(row, v)), Q(0)) for row in m]
 

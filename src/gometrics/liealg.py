@@ -11,6 +11,15 @@ the derived subalgebra.  Two builders matter here:
 * ``build_compact_from_rootsystem`` constructs the compact form of the
   algebra of a rank <= 2 root system from Chevalley data, fixing the
   cross-plane signs by a deterministic Jacobi-validated completion.
+
+Every algebra is validated at construction unless ``validate=False`` is
+passed, and validation checks ad-invariance of the inner product,
+<[x, y], z> = <x, [y, z]>.  ``normalizer`` and the right-isometry kernel
+in ``metrics`` rely on that identity: they pair [e_i, u] with w as the
+i-th coordinate of ``lower([u, w])``, without bracketing unit vectors.
+So an algebra built with ``validate=False`` (a Jacobi candidate, or a
+subalgebra in its own basis) is only read for its structure constants,
+Killing form and brackets, and never passed to either.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ import numpy as np
 from . import exactlinalg as ela
 from . import rootsys
 from .scalars import (
-    Quad,
     exact_div,
     exact_sqrt,
     format_scalar,
@@ -192,6 +200,13 @@ class CompactLieAlgebra:
             Q(0),
         )
 
+    def lower(self, v):
+        """Coordinates of the linear form x -> <x, v>."""
+        diag = self.inner_diag
+        if diag is not None:
+            return [d * x for d, x in zip(diag, v)]
+        return ela.matvec(self.inner, v)
+
     def killing_product(self, x, y):
         K = self.killing
         return sum(
@@ -201,12 +216,8 @@ class CompactLieAlgebra:
 
     @cached_property
     def center(self) -> "Subspace":
-        rows = []
-        n = self.dim
-        for j in range(n):
-            for k in range(n):
-                rows.append([self.structure[i][j][k] for i in range(n)])
-        return Subspace.from_vectors(self, ela.nullspace(rows), label="center")
+        full = Subspace.from_indices(self, range(self.dim), label="g")
+        return centralizer(self, full, label="center")
 
     @cached_property
     def derived(self) -> "Subspace":
@@ -242,16 +253,8 @@ class CompactLieAlgebra:
                 for k in range(n):
                     if not _fzero(self.structure[i][j][k] + self.structure[j][i][k]):
                         raise AlgebraValidationError("structure tensor not antisymmetric")
-        diag = self.inner_diag
-        if diag is not None:
-            if any(not d > 0 for d in diag):
-                raise AlgebraValidationError("inner product not positive definite")
-        else:
-            # leading principal minors via exact elimination
-            for m in range(1, n + 1):
-                sub = [list(self.inner[i][:m]) for i in range(m)]
-                if ela.rank(sub) < m:
-                    raise AlgebraValidationError("inner product is singular")
+        if not ela.is_positive_definite(self.inner):
+            raise AlgebraValidationError("inner product not positive definite")
         if self.jacobi_residual():
             raise AlgebraValidationError("Jacobi identity fails")
         # ad-invariance of the inner product: <[x,y],z> = -<y,[x,z]>
@@ -270,14 +273,15 @@ class CompactLieAlgebra:
             raise AlgebraValidationError("center + derived do not span")
         K = self.killing
         for v in self.center.basis:
-            img = ela.matvec([list(row) for row in K], list(v))
+            img = ela.matvec(K, v)
             if not ela.vec_is_zero(img):
                 raise AlgebraValidationError("Killing form nonzero on the center")
         if self.lambda_minus_b is not None:
             lam = self.lambda_minus_b
-            for u in self.derived.basis:
-                for v in self.derived.basis:
-                    want = -lam * self.killing_product(u, v)
+            for v in self.derived.basis:
+                kv = ela.matvec(K, v)
+                for u in self.derived.basis:
+                    want = -lam * ela.dot(u, kv)
                     got = self.inner_product(u, v)
                     if not _fzero(want - got):
                         raise AlgebraValidationError(
@@ -412,35 +416,15 @@ def is_subalgebra(L: CompactLieAlgebra, p: Subspace) -> bool:
 
 def centralizer(L: CompactLieAlgebra, p: Subspace, label: str = "") -> Subspace:
     """{x in g : [x, b] = 0 for all b in p}."""
-    n = L.dim
-    rows = []
-    for b in p.basis:
-        mats = [[Q(0)] * n for _ in range(n)]  # mats[k][i]
-        for (i, j), ent in L._sparse.items():
-            if not _fzero(b[j]):
-                for k, c in ent:
-                    mats[k][i] = mats[k][i] + c * b[j]
-            if not _fzero(b[i]):
-                for k, c in ent:
-                    mats[k][j] = mats[k][j] - c * b[i]
-        rows.extend(mats)
+    rows = [row for b in p.basis for row in L.ad_matrix(b)]
     return Subspace.from_vectors(L, ela.nullspace(rows), label=label or f"c({p.label})")
 
 
 def normalizer(L: CompactLieAlgebra, p: Subspace, label: str = "") -> Subspace:
     """{x in g : [x, p] inside p}."""
     comp = p.orthogonal_complement()
-    n = L.dim
-    rows = []
-    for b in p.basis:
-        # [e_i, b] for each i, paired against complement basis vectors
-        cols = []  # cols[i] = bracket vector
-        for i in range(n):
-            e = [Q(0)] * n
-            e[i] = Q(1)
-            cols.append(L.bracket(e, b))
-        for w in comp.basis:
-            rows.append([L.inner_product(cols[i], w) for i in range(n)])
+    # <[e_i, b], w> = <e_i, [b, w]> by ad-invariance
+    rows = [L.lower(L.bracket(b, w)) for b in p.basis for w in comp.basis]
     return Subspace.from_vectors(L, ela.nullspace(rows), label=label or f"n({p.label})")
 
 
@@ -643,40 +627,6 @@ def build_compact_from_rootsystem(
             for key, comps in table.items()
         }
 
-    def jacobi_ok(table) -> bool:
-        def bb(i, j):
-            if i == j:
-                return []
-            if i < j:
-                return table.get((i, j), [])
-            return [(k, -c) for k, c in table.get((j, i), [])]
-
-        touched = sorted({i for key in table for i in key})
-        for i, j, k in itertools.combinations(touched, 3):
-            acc: dict = {}
-            for a, b, cc in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, cab in bb(a, b):
-                    for rr, cmc in bb(m, cc):
-                        acc[rr] = acc.get(rr, Q(0)) + cab * cmc
-            if any(not _fzero(v) for v in acc.values()):
-                return False
-        return True
-
-    chosen = None
-    for signs in itertools.product((1, -1), repeat=len(sum_pairs)):
-        table = assemble(signs)
-        if jacobi_ok(table):
-            chosen = table
-            break
-    if chosen is None:
-        raise AlgebraValidationError("no Chevalley sign assignment satisfies Jacobi")
-
-    c = [[[Q(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j), comps in chosen.items():
-        for k, v in comps:
-            c[i][j][k] = v
-            c[j][i][k] = -v
-
     inner = [[Q(0)] * dim for _ in range(dim)]
     for ti in range(r):
         inner[ti][ti] = rs.inner(tbasis[ti], tbasis[ti])
@@ -696,16 +646,27 @@ def build_compact_from_rootsystem(
             vec[ti] = coeff
         root_map[rs.label(g)] = (u_idx(g), v_idx(g), tuple(vec))
 
-    return CompactLieAlgebra(
-        name=f"compact[{rs.name}]",
-        basis_labels=labels,
-        structure=c,
-        inner=inner,
-        lambda_minus_b=Q(1),
-        cartan_indices=tuple(range(r)),
-        root_map=root_map,
-        field_d=field_d,
-    )
+    for signs in itertools.product((1, -1), repeat=len(sum_pairs)):
+        c = [[[Q(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        for (i, j), comps in assemble(signs).items():
+            for k, v in comps:
+                c[i][j][k] = v
+                c[j][i][k] = -v
+        alg = CompactLieAlgebra(
+            name=f"compact[{rs.name}]",
+            basis_labels=labels,
+            structure=c,
+            inner=inner,
+            lambda_minus_b=Q(1),
+            cartan_indices=tuple(range(r)),
+            root_map=root_map,
+            field_d=field_d,
+            validate=False,
+        )
+        if not alg.jacobi_residual():
+            alg.validate()
+            return alg
+    raise AlgebraValidationError("no Chevalley sign assignment satisfies Jacobi")
 
 
 def build_su2() -> CompactLieAlgebra:

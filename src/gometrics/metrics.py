@@ -9,7 +9,7 @@ orthogonal module decomposition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
 
@@ -59,9 +59,6 @@ class ModuleDecomposition:
     @property
     def dim(self) -> int:
         return sum(b.dim for b in self.blocks)
-
-    def block_labels(self):
-        return tuple(b.label or f"block{i + 1}" for i, b in enumerate(self.blocks))
 
 
 @dataclass(frozen=True)
@@ -206,20 +203,15 @@ def max_right_isometry_algebra(L: CompactLieAlgebra, metric: MetricEndomorphism)
     if metric.decomposition.dim != n:
         raise MetricValidationError("metric must cover the whole algebra")
     eig = list(metric.eigenspaces().values())
-    rows = []
-    for a_idx, ea in enumerate(eig):
-        for u in ea.basis:
-            # brackets [e_i, u]; their components off ea must vanish
-            cols = []
-            for i in range(n):
-                e = [Q(0)] * n
-                e[i] = Q(1)
-                cols.append(L.bracket(e, u))
-            for b_idx, eb in enumerate(eig):
-                if a_idx == b_idx:
-                    continue
-                for w in eb.basis:
-                    rows.append([L.inner_product(cols[i], w) for i in range(n)])
+    # the components of [e_i, u] off u's eigenspace must vanish, and
+    # <[e_i, u], w> = <e_i, [u, w]> by ad-invariance; the rows of a pair
+    # (eb, ea) are those of (ea, eb) negated, so one order suffices
+    rows = [
+        L.lower(L.bracket(u, w))
+        for ea, eb in itertools.combinations(eig, 2)
+        for u in ea.basis
+        for w in eb.basis
+    ]
     if not rows:
         # single eigenvalue: A is a multiple of the identity
         return Subspace.from_indices(L, range(n), label="max-right-isometry")

@@ -47,7 +47,7 @@ from .metrics import (
 )
 from .ricci import einstein_check
 from .rootsys import build_g2
-from .scalars import exact_div, exact_sqrt, format_scalar, is_exact
+from .scalars import exact_sqrt, format_scalar, is_exact
 
 
 class ClassificationRefused(ValueError):
@@ -452,54 +452,28 @@ def _restricted_structure(L: CompactLieAlgebra, p: Subspace):
 def _killing_profile(L: CompactLieAlgebra, p: Subspace):
     """(dim, rank, negative_definite) of a subalgebra, exactly.
 
-    Rank is the dimension of the centralizer of a regular element inside
-    the subalgebra, validated to be abelian; definiteness comes from a
-    symmetric elimination of the intrinsic trace form.
+    The subalgebra is read as an algebra in its own basis.  Rank is the
+    dimension of the centralizer of a regular element inside it,
+    validated to be abelian; definiteness is that of its Killing form.
     """
-    c = _restricted_structure(L, p)
     n = p.dim
-    kill = [
-        [
-            sum(c[i][a][b] * c[j][b][a] for a in range(n) for b in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    neg = [[-kill[i][j] for j in range(n)] for i in range(n)]
-    negdef = True
-    work = [row[:] for row in neg]
-    for t in range(n):
-        pivot = work[t][t]
-        if not pivot > 0:
-            negdef = False
-            break
-        for r in range(t + 1, n):
-            factor = exact_div(work[r][t], pivot)
-            for s in range(t, n):
-                work[r][s] -= factor * work[t][s]
-    rank = None
+    sub = CompactLieAlgebra(
+        name=p.label,
+        basis_labels=range(n),
+        structure=_restricted_structure(L, p),
+        inner=[[L.inner_product(a, b) for b in p.basis] for a in p.basis],
+        validate=False,
+    )
+    negdef = ela.is_positive_definite([[-x for x in row] for row in sub.killing])
     for attempt in range(1, 4):
-        coeffs = [Q((i + 1) ** attempt) for i in range(n)]
-        g0 = [sum(coeffs[i] * p.basis[i][j] for i in range(n)) for j in range(L.dim)]
-        cols = [p.coefficients(L.bracket(g0, b)) for b in p.basis]
-        # unknowns are the coefficients of the centralizing element, so the
-        # image coordinates must sit in columns, not rows
-        rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-        null = ela.nullspace(rows)
-        cands = [
-            [sum(v[i] * p.basis[i][j] for i in range(n)) for j in range(L.dim)]
-            for v in null
-        ]
-        abelian_ok = all(
-            ela.vec_is_zero(L.bracket(u, w))
-            for u, w in itertools.combinations(cands, 2)
-        )
-        if abelian_ok:
-            rank = len(null)
-            break
-    if rank is None:
-        raise ValueError("no regular element found for the rank computation")
-    return n, rank, negdef
+        g0 = [Q((i + 1) ** attempt) for i in range(n)]
+        null = ela.nullspace(sub.ad_matrix(g0))
+        if all(
+            ela.vec_is_zero(sub.bracket(u, w))
+            for u, w in itertools.combinations(null, 2)
+        ):
+            return n, len(null), negdef
+    raise ValueError("no regular element found for the rank computation")
 
 
 @lru_cache(maxsize=1)

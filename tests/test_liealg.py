@@ -250,6 +250,23 @@ def test_validate_rejects_broken_structure():
         )
 
 
+def _plane(inner):
+    return liealg.CompactLieAlgebra(
+        name="plane",
+        basis_labels=("a", "b"),
+        structure=[[[Q(0)] * 2 for _ in range(2)] for _ in range(2)],
+        inner=[[Q(x) for x in row] for row in inner],
+    )
+
+
+def test_validate_rejects_indefinite_inner_product():
+    # <(1,-1), (1,-1)> = -2 under the first; the second is negative definite
+    for inner in ([[1, 2], [2, 1]], [[-2, 1], [1, -2]], [[0, 0], [0, 1]]):
+        with pytest.raises(liealg.AlgebraValidationError, match="positive definite"):
+            _plane(inner)
+    assert _plane([[2, 1], [1, 2]]).dim == 2
+
+
 def test_bracket_table_csv_and_json_export():
     alg = build_su2()
     csv = liealg.bracket_table_csv(alg)

@@ -32,6 +32,7 @@ from gometrics import (
     reproduce_main_theorem,
 )
 from gometrics.metrics import MetricValidationError
+from gometrics.spaces import _killing_profile
 
 AW = aloff_wallach(2, 1)
 
@@ -284,6 +285,16 @@ def test_block_dimensions_and_named_subalgebras():
     assert spans_equal(dec.su3like, p[0].sum(p[1], label="s").sum(p[4], label="s"))
     assert is_subalgebra(dec.algebra, dec.su2su2)
     assert is_subalgebra(dec.algebra, dec.su3like)
+
+
+def test_killing_profile_of_g2_subalgebras():
+    dec = g2_decomposition()
+    L = dec.algebra
+    whole = Subspace.from_indices(L, range(L.dim))
+    assert _killing_profile(L, dec.torus) == (2, 2, False)
+    assert _killing_profile(L, dec.block(2)) == (3, 1, True)
+    assert _killing_profile(L, dec.su3like) == (8, 2, True)
+    assert _killing_profile(L, whole) == (14, 2, True)
 
 
 def test_block_bracket_relations():

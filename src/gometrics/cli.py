@@ -417,7 +417,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "--tol-infeas", type=float, default=None, help="infeasibility residual bound"
     )
     parser.add_argument(
-        "--tol-einstein", type=float, default=None, help="Einstein deviation bound"
+        "--tol-einstein", type=float, default=None, help="Einstein deviation bound, relative to |c|"
     )
     parser.add_argument(
         "--out", default=None, help="write the report to this file (atomic)"

@@ -201,7 +201,10 @@ def solve_linear_feasibility(
     if nrows == 0:
         return FeasibilityResult("feasible", 0.0, tuple([Q(0)] * ncols), "exact" if exact else "float")
     if exact:
-        sol = ela.solve([list(r) for r in rows], list(rhs))
+        if ela.vec_is_zero(rhs):
+            sol = [Q(0)] * ncols  # the witness elimination would find
+        else:
+            sol = ela.solve([list(r) for r in rows], list(rhs))
         if sol is not None:
             return FeasibilityResult(
                 "feasible", 0.0, tuple(sol), "exact",
@@ -262,7 +265,8 @@ def go_feasible_reduced(
 
     Extra generators must act on the complement by metric-skew
     operators, which holds exactly when their adjoint action preserves
-    the complement and commutes with A there; this is validated.  X and
+    the complement and commutes with A there; this is validated once per
+    metric, space and generator (memo ``metric.skew_generators``).  X and
     A X must lie in the complement, which is checked for exact input.
     """
     L = space.algebra
@@ -293,6 +297,9 @@ def go_feasible_direct(
 
 
 def _validate_skew_generator(space: ReductiveSpace, metric: MetricEndomorphism, u) -> None:
+    key = (space, tuple(u))
+    if key in metric.skew_generators:
+        return
     L = space.algebra
     m = space.complement
     exact = metric.is_exact and ela.all_exact(u)
@@ -311,6 +318,7 @@ def _validate_skew_generator(space: ReductiveSpace, metric: MetricEndomorphism, 
                 raise SpaceValidationError("extra generator is not metric-skew")
         elif max(abs(float(t)) for t in diff) > 1e-10:
             raise SpaceValidationError("extra generator is not metric-skew")
+    metric.skew_generators.add(key)
 
 
 def go_feasible_normal_transitive(
@@ -322,7 +330,14 @@ def go_feasible_normal_transitive(
     """Bracket-compensator system: find V in the isotropy algebra and W
     in its centralizer intersected with the complement such that
     [A X, X + V + W] falls back into the isotropy algebra.
+
+    Reading a solution as a geodesic-orbit compensator needs every such
+    W to act by a metric isometry.  With isotropy {0} the centralizer is
+    all of g, W = -X always solves, and the verdict would be vacuous, so
+    that space is rejected; ``lie_group_go_check`` handles a group.
     """
+    if space.isotropy.dim == 0:
+        raise ValueError("the normal-transitive formulation needs a nonzero isotropy")
     L = space.algebra
     gens, perp = space._normal_transitive_bases
     return _geodesic_system(

@@ -414,10 +414,17 @@ def is_subalgebra(L: CompactLieAlgebra, p: Subspace) -> bool:
     return True
 
 
+def solution_space(L: CompactLieAlgebra, rows, label: str = "") -> Subspace:
+    """{x in g : r . x = 0 for every row r}: all of g when there are no rows."""
+    if not rows:
+        return Subspace.from_indices(L, range(L.dim), label=label)
+    return Subspace.from_vectors(L, ela.nullspace(rows), label=label)
+
+
 def centralizer(L: CompactLieAlgebra, p: Subspace, label: str = "") -> Subspace:
     """{x in g : [x, b] = 0 for all b in p}."""
     rows = [row for b in p.basis for row in L.ad_matrix(b)]
-    return Subspace.from_vectors(L, ela.nullspace(rows), label=label or f"c({p.label})")
+    return solution_space(L, rows, label=label or f"c({p.label})")
 
 
 def normalizer(L: CompactLieAlgebra, p: Subspace, label: str = "") -> Subspace:
@@ -425,7 +432,7 @@ def normalizer(L: CompactLieAlgebra, p: Subspace, label: str = "") -> Subspace:
     comp = p.orthogonal_complement()
     # <[e_i, b], w> = <e_i, [b, w]> by ad-invariance
     rows = [L.lower(L.bracket(b, w)) for b in p.basis for w in comp.basis]
-    return Subspace.from_vectors(L, ela.nullspace(rows), label=label or f"n({p.label})")
+    return solution_space(L, rows, label=label or f"n({p.label})")
 
 
 # -- builders -------------------------------------------------------------

@@ -4,6 +4,18 @@ A left-invariant (or G-invariant coset) metric is encoded as a positive
 endomorphism A relative to the background bi-invariant inner product:
 g(x, y) = <A x, y>.  Here A acts as a_i * Id on the i-th block of an
 orthogonal module decomposition.
+
+Facts that depend only on the decomposition are computed lazily, once
+per ``ModuleDecomposition``: the block sums that are subalgebras
+(``block_sums``, from the blocks touched by each pair of blocks), and
+the right-isometry kernel {W : [ad W, A] = 0} of every coefficient
+partition seen so far (``right_isometry_kernels``, keyed by
+``partition_key``, which records only which coefficients are equal).
+Metrics with the same partition share one kernel Subspace; a
+decomposition has at most Bell(len(blocks)) partitions.  For exact
+metrics, ``detect_naturally_reductive`` reads adaptedness of a
+candidate h off that kernel: on g, A commutes with ad(W) exactly when W
+is in it.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import exactlinalg as ela
-from .liealg import CompactLieAlgebra, Subspace, is_subalgebra
+from .liealg import CompactLieAlgebra, Subspace, is_subalgebra, solution_space
 from .scalars import exact_div, is_exact
 
 
@@ -59,6 +71,61 @@ class ModuleDecomposition:
     @property
     def dim(self) -> int:
         return sum(b.dim for b in self.blocks)
+
+    @cached_property
+    def right_isometry_kernels(self) -> dict:
+        """Right-isometry kernels by coefficient partition, filled by
+        ``max_right_isometry_algebra``."""
+        return {}
+
+    def _bracket_blocks(self, i: int, j: int) -> set:
+        """Indices of the blocks that [block i, block j] has a component
+        in, plus None when it leaves the ambient span."""
+        L = self.parent
+        out = set()
+        for u in self.blocks[i].basis:
+            for w in self.blocks[j].basis:
+                rest = L.bracket(u, w)
+                for k, block in enumerate(self.blocks):
+                    part = block.project(rest)
+                    if not ela.vec_is_zero(part):
+                        out.add(k)
+                        rest = [x - y for x, y in zip(rest, part)]
+                if not ela.vec_is_zero(rest):
+                    out.add(None)
+        return out
+
+    @cached_property
+    def block_sums(self) -> tuple:
+        """All sums of blocks that are subalgebras, largest first.
+
+        The blocks are orthogonal, so a sum of blocks is closed under the
+        bracket exactly when each bracket of two of its blocks has
+        components in its blocks only; those components are found once
+        per pair of blocks.
+        """
+        L = self.parent
+        pairs = itertools.combinations_with_replacement(range(len(self.blocks)), 2)
+        reach = {(i, j): self._bracket_blocks(i, j) for i, j in pairs}
+        out = []
+        for r in range(len(self.blocks), 0, -1):
+            for combo in itertools.combinations(range(len(self.blocks)), r):
+                closed = all(
+                    reach[i, j] <= set(combo)
+                    for i, j in itertools.combinations_with_replacement(combo, 2)
+                )
+                if closed:
+                    s = self.blocks[combo[0]]
+                    for i in combo[1:]:
+                        s = s.sum(self.blocks[i])
+                    s = Subspace(
+                        parent=L,
+                        basis=s.basis,
+                        label="+".join(self.blocks[i].label or f"block{i + 1}" for i in combo),
+                    )
+                    out.append(s)
+        out.sort(key=lambda s: -s.dim)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -111,6 +178,12 @@ class MetricEndomorphism:
                 out = [x + a * y for x, y in zip(out, p)]
             cols.append(out)
         return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+    @cached_property
+    def skew_generators(self) -> set:
+        """(space, generator) pairs that ``gocheck`` has validated as
+        metric-skew for this metric, so each is checked once."""
+        return set()
 
     @cached_property
     def matrix_np(self) -> np.ndarray:
@@ -188,6 +261,13 @@ def is_adapted(metric: MetricEndomorphism, sub: Subspace) -> bool:
     return True
 
 
+def partition_key(coefficients) -> tuple:
+    """Which coefficients are equal: the index of each one's first
+    occurrence, so (2, 1, 1) and (5, 3, 3) both give (0, 1, 1)."""
+    first: dict = {}
+    return tuple(first.setdefault(a, i) for i, a in enumerate(coefficients))
+
+
 def max_right_isometry_algebra(L: CompactLieAlgebra, metric: MetricEndomorphism) -> Subspace:
     """Largest subalgebra whose adjoint action commutes with A.
 
@@ -197,27 +277,31 @@ def max_right_isometry_algebra(L: CompactLieAlgebra, metric: MetricEndomorphism)
     eigenspace of A, only the partition of blocks by coefficient
     equality enters, and the kernel is computed exactly even when the
     coefficient values themselves are floats (floats are merged only on
-    bit-identical values).
+    bit-identical values).  So the result is computed once per partition
+    and kept in ``metric.decomposition.right_isometry_kernels``; metrics
+    with the same partition share the same Subspace.
     """
-    n = L.dim
-    if metric.decomposition.dim != n:
+    if L is not metric.parent:
+        raise MetricValidationError("metric belongs to a different algebra")
+    dec = metric.decomposition
+    if dec.dim != L.dim:
         raise MetricValidationError("metric must cover the whole algebra")
-    eig = list(metric.eigenspaces().values())
-    # the components of [e_i, u] off u's eigenspace must vanish, and
-    # <[e_i, u], w> = <e_i, [u, w]> by ad-invariance; the rows of a pair
-    # (eb, ea) are those of (ea, eb) negated, so one order suffices
-    rows = [
-        L.lower(L.bracket(u, w))
-        for ea, eb in itertools.combinations(eig, 2)
-        for u in ea.basis
-        for w in eb.basis
-    ]
-    if not rows:
-        # single eigenvalue: A is a multiple of the identity
-        return Subspace.from_indices(L, range(n), label="max-right-isometry")
-    sub = Subspace.from_vectors(L, ela.nullspace(rows), label="max-right-isometry")
-    assert is_subalgebra(L, sub)
-    return sub
+    key = partition_key(metric.coefficients)
+    if key not in dec.right_isometry_kernels:
+        eig = list(metric.eigenspaces().values())
+        # the components of [e_i, u] off u's eigenspace must vanish, and
+        # <[e_i, u], w> = <e_i, [u, w]> by ad-invariance; the rows of a pair
+        # (eb, ea) are those of (ea, eb) negated, so one order suffices
+        rows = [
+            L.lower(L.bracket(u, w))
+            for ea, eb in itertools.combinations(eig, 2)
+            for u in ea.basis
+            for w in eb.basis
+        ]
+        sub = solution_space(L, rows, label="max-right-isometry")
+        assert is_subalgebra(L, sub)
+        dec.right_isometry_kernels[key] = sub
+    return dec.right_isometry_kernels[key]
 
 
 @dataclass(frozen=True)
@@ -232,25 +316,10 @@ class NaturalReductivityResult:
         return self.found
 
 
-def subalgebra_block_sums(decomposition: ModuleDecomposition):
-    """All sums of decomposition blocks that are subalgebras, largest first."""
-    L = decomposition.parent
-    blocks = decomposition.blocks
-    out = []
-    for r in range(len(blocks), 0, -1):
-        for combo in itertools.combinations(range(len(blocks)), r):
-            s = blocks[combo[0]]
-            for i in combo[1:]:
-                s = s.sum(blocks[i])
-            if is_subalgebra(L, s):
-                s = Subspace(
-                    parent=L,
-                    basis=s.basis,
-                    label="+".join(blocks[i].label or f"block{i + 1}" for i in combo),
-                )
-                out.append(s)
-    out.sort(key=lambda s: -s.dim)
-    return out
+def subalgebra_block_sums(decomposition: ModuleDecomposition) -> tuple:
+    """All sums of decomposition blocks that are subalgebras, largest
+    first; computed once per decomposition."""
+    return decomposition.block_sums
 
 
 def detect_naturally_reductive(
@@ -273,7 +342,8 @@ def detect_naturally_reductive(
     """
     if metric.decomposition.dim != L.dim:
         raise MetricValidationError("metric must cover the whole algebra")
-    if candidates is None:
+    given = candidates is not None
+    if not given:
         candidates = subalgebra_block_sums(metric.decomposition)
     exact = metric.is_exact
     tol = 0 if exact else 1e-10
@@ -288,7 +358,8 @@ def detect_naturally_reductive(
         checked += 1
         if h.dim == 0:
             continue
-        if not is_subalgebra(L, h):
+        # block sums are subalgebras by construction
+        if given and not is_subalgebra(L, h):
             continue
         m = h.orthogonal_complement()
         # A must preserve h (and hence m)
@@ -317,8 +388,13 @@ def detect_naturally_reductive(
             continue
         if m.dim == 0:
             x = None  # bi-invariant-type certificate: h is everything
-        # ad(h)-invariance of A restricted to h
-        if not is_adapted(metric, h):
+        # ad(h)-invariance of A: on g, exactly h inside the kernel; float
+        # metrics keep the 1e-12 test, which accepts near-equal coefficients
+        # that the exact partition would split
+        if exact:
+            if not max_right_isometry_algebra(L, metric).contains_subspace(h):
+                continue
+        elif not is_adapted(metric, h):
             continue
         ideal_coeffs = tuple(
             metric.coefficient_of(b)

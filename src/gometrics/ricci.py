@@ -196,15 +196,17 @@ class EinsteinCheck:
 def einstein_check(
     L: CompactLieAlgebra, metric: MetricEndomorphism, tolerance: float = 1e-9
 ) -> EinsteinCheck:
-    """Einstein decision: exact when the metric is exact, within
-    ``tolerance`` on the frame-orthonormal deviation otherwise.
+    """Einstein decision: exact when the metric is exact; otherwise the
+    frame-orthonormal deviation must be within ``tolerance`` relative to
+    |c|, the Einstein constant, so that rescaling the metric does not
+    change the verdict.  The reported ``deviation`` stays absolute.
     """
     res = ricci_left_invariant(L, metric)
     if res.einstein_exact is not None:
         verdict = res.einstein_exact
         decided_exactly = True
     else:
-        verdict = res.deviation <= tolerance
+        verdict = res.deviation <= tolerance * abs(res.einstein_constant)
         decided_exactly = False
     return EinsteinCheck(
         is_einstein=verdict,

@@ -49,6 +49,13 @@ def _bracket_rows(L, pairs):
     return rows
 
 
+def _solutions(L, rows):
+    """{x : r . x = 0 for every row r}, all of g when there are no rows."""
+    if not rows:
+        return Subspace.from_indices(L, range(L.dim))
+    return Subspace.from_vectors(L, ela.nullspace(rows))
+
+
 def reference_kernel(L, metric):
     eig = list(metric.eigenspaces().values())
     pairs = [
@@ -59,15 +66,12 @@ def reference_kernel(L, metric):
         for u in ea.basis
         for w in eb.basis
     ]
-    if not pairs:
-        return Subspace.from_indices(L, range(L.dim))
-    return Subspace.from_vectors(L, ela.nullspace(_bracket_rows(L, pairs)))
+    return _solutions(L, _bracket_rows(L, pairs))
 
 
 def reference_normalizer(L, p):
     comp = p.orthogonal_complement()
-    rows = _bracket_rows(L, [(b, w) for b in p.basis for w in comp.basis])
-    return Subspace.from_vectors(L, ela.nullspace(rows))
+    return _solutions(L, _bracket_rows(L, [(b, w) for b in p.basis for w in comp.basis]))
 
 
 def reference_centralizer(L, p):
@@ -77,7 +81,7 @@ def reference_centralizer(L, p):
         for b in p.basis
         for k in range(n)
     ]
-    return Subspace.from_vectors(L, ela.nullspace(rows))
+    return _solutions(L, rows)
 
 
 def reference_center(L):

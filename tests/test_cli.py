@@ -126,6 +126,20 @@ def test_reproduce_g2_einstein_byte_identical_runs():
     assert a.stdout.endswith(b"\n")
 
 
+def test_reproduce_g2_einstein_warm_caches_keep_bytes(monkeypatch, capsys):
+    # kernels and block sums cached by a first call must not change the
+    # report of a second call, nor make it differ from a cold process
+    for name in [k for k in os.environ if k.startswith("GOMETRICS_")]:
+        monkeypatch.delenv(name)
+    warm = []
+    for _ in range(2):
+        assert cli.main(["reproduce", "g2-einstein", "--seed", "0"]) == 0
+        warm.append(capsys.readouterr().out)
+    cold = run_cli("reproduce", "g2-einstein", "--seed", "0")
+    assert cold.returncode == 0, cold.stderr
+    assert warm[0] == warm[1] == cold.stdout.decode()
+
+
 def test_reproduce_mismatch_exits_5(monkeypatch, capsys):
     def broken(seed=0, einstein_tolerance=1e-5, tolerances=None):
         return {

@@ -373,6 +373,19 @@ def test_lie_group_formulation_rejects_space_target():
         go_check(aw.space, metric, formulation="lie_group", count=1)
 
 
+def test_normal_transitive_rejects_zero_isotropy():
+    # c({0}) = g lets W = -X solve every direction, so no verdict there
+    # would mean anything: (1, 2, 3) is not GO, (1, 1, 2) is
+    space = ReductiveSpace(
+        algebra=SU2, isotropy=Subspace(SU2, ()), complement=Subspace.from_indices(SU2, range(3))
+    )
+    for coeffs in ((1, 2, 3), (1, 1, 2)):
+        metric = su2_metric(*map(Q, coeffs))
+        with pytest.raises(ValueError, match="nonzero isotropy"):
+            go_check(space, metric, count=2, exact=True)
+    assert go_check(SU2, su2_metric(Q(1), Q(1), Q(2)), count=2, exact=True).verdict == "go-consistent"
+
+
 def test_certificate_json_shape():
     cert = go_check(SU2, su2_metric(Q(2), Q(1), Q(1)), count=3, exact=True, seed=2)
     doc = cert.to_json_dict()

@@ -220,6 +220,16 @@ def test_centralizer_of_isotropy_in_su3():
     assert cent.dim == 2
 
 
+def test_centralizer_and_normalizer_without_equations_are_everything():
+    # no equations constrain x, so the whole algebra qualifies
+    su2 = build_su2()
+    whole = Subspace.from_indices(su2, range(3))
+    zero = Subspace(su2, ())
+    assert normalizer(su2, whole).dim == 3
+    assert normalizer(su2, zero).dim == 3
+    assert centralizer(su2, zero).dim == 3
+
+
 def test_direct_sum_and_abelian():
     su2 = build_su2()
     ab = abelian(1, "center")

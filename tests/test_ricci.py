@@ -155,6 +155,22 @@ def test_g2_third_einstein_set_numerical():
     assert not tight.is_einstein
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4])
+def test_float_einstein_verdict_is_scale_free(scale):
+    # Einstein is a property of the metric up to scale: the deviation is
+    # judged relative to |c|, while the reported deviation stays absolute
+    dec = g2_decomposition()
+    for base, want in ((EINSTEIN_SET_3, True), ((1, 2, 3, 4, 5), False)):
+        unit = einstein_check(dec.algebra, g2_metric(*map(float, base), dec), tolerance=1e-5)
+        chk = einstein_check(
+            dec.algebra, g2_metric(*(float(c) * scale for c in base), dec), tolerance=1e-5
+        )
+        assert chk.is_einstein == unit.is_einstein == want
+        assert not chk.decided_exactly
+        assert chk.deviation == pytest.approx(unit.deviation / scale, rel=1e-6)
+        assert chk.einstein_constant == pytest.approx(unit.einstein_constant / scale, rel=1e-9)
+
+
 def test_g2_generic_metric_not_einstein():
     dec = g2_decomposition()
     chk = einstein_check(dec.algebra, g2_metric(1, 2, 3, 4, 5, dec))

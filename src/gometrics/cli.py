@@ -14,6 +14,12 @@ environment overrides) produces byte-identical output.  Exit codes:
 0 success / geodesic-orbit consistent, 2 usage or malformed input,
 3 non-geodesic-orbit certified, 4 indeterminate, 5 reproduction
 mismatch.
+
+Each space or group is built and validated once per process (W[k,l] and
+the G2 blocks in ``spaces``, the su(3) and su(2) group targets here);
+a command builds only its metric.  So a command reuses what earlier
+commands in the same process built, kernel caches included, and writes
+the same bytes as in a fresh process.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 
 from . import rootsys
 from .gocheck import Tolerances, go_check
@@ -126,6 +133,7 @@ def parse_metric_spec(spec: str):
     return entries, any_decimal
 
 
+@lru_cache(maxsize=1)
 def _su3_group_target():
     # weights fix the basis normalization only; block structure is shared
     alg = build_su3(2, 1)
@@ -142,6 +150,7 @@ def _su3_group_target():
     return alg, ModuleDecomposition(parent=alg, blocks=blocks, name="su3 blocks")
 
 
+@lru_cache(maxsize=1)
 def _su2_group_target():
     alg = build_su2()
     blocks = tuple(

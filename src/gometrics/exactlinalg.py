@@ -142,17 +142,22 @@ def gram_schmidt(vectors, inner):
     """Pairwise inner-orthogonal spanning set (unnormalized), exact.
 
     ``inner(u, v)`` must be an exact symmetric positive-definite pairing.
-    Dependent inputs are dropped.
+    Dependent inputs are dropped.  Each kept vector's <b, b> is computed
+    once, and the loop stops when the basis spans the ambient space:
+    exact reduction would take every later vector to zero.
     """
-    basis = []
+    basis, norms = [], []
     for v in vectors:
+        if len(basis) == len(v):
+            break
         w = list(v)
-        for b in basis:
-            coeff = exact_div(inner(w, b), inner(b, b))
+        for b, nb in zip(basis, norms):
+            coeff = exact_div(inner(w, b), nb)
             if not _is_zero(coeff):
                 w = [x - coeff * y for x, y in zip(w, b)]
         if any(not _is_zero(x) for x in w):
             basis.append(w)
+            norms.append(inner(w, w))
     return basis
 
 

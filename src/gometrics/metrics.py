@@ -10,7 +10,9 @@ per ``ModuleDecomposition``: the block sums that are subalgebras
 (``block_sums``, from the blocks touched by each pair of blocks), and
 the right-isometry kernel {W : [ad W, A] = 0} of every coefficient
 partition seen so far (``right_isometry_kernels``, keyed by
-``partition_key``, which records only which coefficients are equal).
+``partition_key``, which records only which coefficients are equal),
+and the exact bracket coordinates in the frame of block bases
+(``frame_brackets``, read by the exact Ricci tensor).
 Metrics with the same partition share one kernel Subspace; a
 decomposition has at most Bell(len(blocks)) partitions.  For exact
 metrics, ``detect_naturally_reductive`` reads adaptedness of a
@@ -77,6 +79,25 @@ class ModuleDecomposition:
         """Right-isometry kernels by coefficient partition, filled by
         ``max_right_isometry_algebra``."""
         return {}
+
+    @cached_property
+    def frame_brackets(self) -> tuple:
+        """K[a][b][m], the coordinate along v_m of [v_a, v_b], exact, in
+        the frame v of concatenated block bases; the exact Ricci tensor
+        reads it for every metric on this decomposition."""
+        L = self.parent
+        vecs = [b for block in self.blocks for b in block.basis]
+        norms = [L.inner_product(v, v) for v in vecs]
+        out = []
+        for u in vecs:
+            row = []
+            for w in vecs:
+                uw = L.bracket(u, w)
+                row.append(
+                    tuple(exact_div(L.inner_product(uw, v), nv) for v, nv in zip(vecs, norms))
+                )
+            out.append(tuple(row))
+        return tuple(out)
 
     def _bracket_blocks(self, i: int, j: int) -> set:
         """Indices of the blocks that [block i, block j] has a component

@@ -10,7 +10,8 @@ are G[a][b][c] = (C[a][b][c] - C[b][c][a] + C[c][a][b]) / 2, and
                                      - G[a][d][m] G[b][m][a]) / g_m
                               - sum_m K[a][b][m] G[m][d][a] ]
 
-with K the bracket coordinates in the frame.  Exact metrics get an
+with K the bracket coordinates in the frame, which depend only on the
+decomposition and are kept on it.  Exact metrics get an
 exact tensor (so Einstein can be decided with no tolerance); float
 metrics go through numpy.
 """
@@ -61,6 +62,8 @@ def _frame_vectors(metric: MetricEndomorphism):
 
 def ricci_left_invariant(L: CompactLieAlgebra, metric: MetricEndomorphism) -> RicciResult:
     """Ricci tensor of the left-invariant metric, on the whole group."""
+    if L is not metric.parent:
+        raise MetricValidationError("metric belongs to a different algebra")
     if metric.decomposition.dim != L.dim:
         raise MetricValidationError("metric must cover the whole algebra")
     n = L.dim
@@ -68,18 +71,7 @@ def ricci_left_invariant(L: CompactLieAlgebra, metric: MetricEndomorphism) -> Ri
     exact = metric.is_exact
 
     if exact:
-        brackets = [[L.bracket(vecs[a], vecs[b]) for b in range(n)] for a in range(n)]
-        norms = [L.inner_product(v, v) for v in vecs]
-        K = [
-            [
-                [
-                    exact_div(L.inner_product(brackets[a][b], vecs[m]), norms[m])
-                    for m in range(n)
-                ]
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
+        K = metric.decomposition.frame_brackets
         C = [
             [
                 [grams[c] * K[a][b][c] for c in range(n)]

@@ -9,6 +9,14 @@ five-block splitting of the compact 14-dimensional exceptional algebra,
 together with a driver that re-checks the three Einstein coefficient
 sets on it, including the one that is Einstein but certifiably not
 geodesic-orbit.
+
+Everything here that depends only on the weights or the group is built
+and validated once per process: ``aloff_wallach(k, l)`` returns the same
+W[k,l] (algebra, space and tangent blocks) for the same weights, its
+u(3) extension is built on first use and kept on it, and
+``g2_decomposition()`` is built once.  Only a metric is built per call,
+so caches kept on a decomposition (right-isometry kernels, block sums,
+bracket coordinates) carry over from one metric to the next.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import exactlinalg as ela
 from .gocheck import (
@@ -90,9 +98,42 @@ class AloffWallach:
     def name(self) -> str:
         return f"W[{self.k},{self.l}]"
 
+    @cached_property
+    def extension(self) -> tuple:
+        """(algebra, space, blocks) of the centrally extended presentation,
+        built once; see ``aw_extended_presentation``."""
+        u3 = direct_sum(self.algebra, abelian(1, name="center"), name=f"u(3)[{self.k},{self.l}]")
+        n = u3.dim
+
+        def vec(pairs):
+            v = [Q(0)] * n
+            for i, c in pairs:
+                v[i] = Q(c)
+            return v
+
+        h = Subspace.from_vectors(u3, [vec([(0, 1)]), vec([(1, 1), (8, 1)])], label="h+")
+        comp_vecs = [vec([(1, 1), (8, -1)])] + [vec([(i, 1)]) for i in range(2, 8)]
+        comp = Subspace.from_vectors(u3, comp_vecs, label="m+")
+        space = ReductiveSpace(algebra=u3, isotropy=h, complement=comp, name=f"{self.name}+center")
+        blocks = ModuleDecomposition(
+            parent=u3,
+            blocks=(
+                Subspace.from_indices(u3, (2, 3), label="m1"),
+                Subspace.from_indices(u3, (4, 5), label="m2"),
+                Subspace.from_indices(u3, (6, 7), label="m3"),
+                Subspace.from_vectors(u3, [vec([(1, 1), (8, -1)])], label="m4-"),
+            ),
+            name=f"{self.name}+center tangent blocks",
+        )
+        return u3, space, blocks
+
 
 def aloff_wallach(k: int, l: int) -> AloffWallach:
-    """Build W[k,l] for integers k >= l >= 0, (k,l) != (0,0), gcd 1."""
+    """W[k,l] for integers k >= l >= 0, (k,l) != (0,0), gcd 1.
+
+    Built once per process for each pair; the checks run on every call,
+    so True or 2.0 never reach the cache as 1 or 2.
+    """
     if not isinstance(k, int) or not isinstance(l, int) or isinstance(k, bool) or isinstance(l, bool):
         raise ValueError("weights must be plain integers")
     if k < 0 or l < 0:
@@ -103,6 +144,11 @@ def aloff_wallach(k: int, l: int) -> AloffWallach:
         raise ValueError("weights (0,0) give no circle")
     if math.gcd(k, l) != 1:
         raise ValueError(f"weights must be coprime, got gcd {math.gcd(k, l)}")
+    return _build_aloff_wallach(k, l)
+
+
+@lru_cache(maxsize=None)
+def _build_aloff_wallach(k: int, l: int) -> AloffWallach:
     m = -k - l
     lval = k * k + l * l + m * m
     # the two standard quadratic expressions for the circle data agree
@@ -365,30 +411,9 @@ class AWExtendedPresentation:
 
 
 def aw_extended_presentation(aw: AloffWallach, x1, x2, x3, x4) -> AWExtendedPresentation:
-    """Build the centrally extended presentation carrying the same metric."""
-    u3 = direct_sum(aw.algebra, abelian(1, name="center"), name=f"u(3)[{aw.k},{aw.l}]")
-    n = u3.dim
-
-    def vec(pairs):
-        v = [Q(0)] * n
-        for i, c in pairs:
-            v[i] = Q(c)
-        return v
-
-    h = Subspace.from_vectors(u3, [vec([(0, 1)]), vec([(1, 1), (8, 1)])], label="h+")
-    comp_vecs = [vec([(1, 1), (8, -1)])] + [vec([(i, 1)]) for i in range(2, 8)]
-    comp = Subspace.from_vectors(u3, comp_vecs, label="m+")
-    space = ReductiveSpace(algebra=u3, isotropy=h, complement=comp, name=f"{aw.name}+center")
-    blocks = ModuleDecomposition(
-        parent=u3,
-        blocks=(
-            Subspace.from_indices(u3, (2, 3), label="m1"),
-            Subspace.from_indices(u3, (4, 5), label="m2"),
-            Subspace.from_indices(u3, (6, 7), label="m3"),
-            Subspace.from_vectors(u3, [vec([(1, 1), (8, -1)])], label="m4-"),
-        ),
-        name=f"{aw.name}+center tangent blocks",
-    )
+    """The centrally extended presentation carrying the same metric; only
+    the metric is built per call."""
+    u3, space, blocks = aw.extension
     metric = make_metric(blocks, (x1, x2, x3, 2 * x4))
     return AWExtendedPresentation(
         base=aw, algebra=u3, space=space, blocks=blocks, metric=metric

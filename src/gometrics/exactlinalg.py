@@ -58,22 +58,24 @@ def rank(m) -> int:
 
 
 def solve(m, b):
-    """One exact solution of m x = b, or None when inconsistent.
+    """Solve m x = b with one elimination of [m | b].
 
-    m is rows x cols; b a length-rows vector.  Free variables are set to 0.
+    m is rows x cols; b a length-rows vector.  Returns (x, rank of m):
+    x is one exact solution with the free variables set to 0, or None
+    when the system is inconsistent, and then rank [m | b] = rank m + 1.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if rows == 0:
-        return [Q(0)] * cols
+        return [Q(0)] * cols, 0
     aug = [[_exact(x) for x in m[i]] + [_exact(b[i])] for i in range(rows)]
     red, pivots = rref(aug)
     if cols in pivots:
-        return None  # pivot in the rhs column: inconsistent
+        return None, len(pivots) - 1  # pivot in the rhs column: inconsistent
     x = [Q(0)] * cols
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
-    return x
+    return x, len(pivots)
 
 
 def nullspace(m):
@@ -129,7 +131,7 @@ def in_span(vectors, v) -> bool:
     if not vectors:
         return all(_is_zero(x) for x in v)
     cols = [[vec[i] for vec in vectors] for i in range(len(v))]
-    return solve(cols, list(v)) is not None
+    return solve(cols, list(v))[0] is not None
 
 
 def span_rank(vectors) -> int:

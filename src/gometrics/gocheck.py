@@ -6,10 +6,12 @@ direction iff a compensator Z in the isotropy algebra exists with
 
     <[X + Z, Y]_m, A X> = 0   for all Y in m.
 
-That is a linear system in Z, so feasibility is decided by linear
-algebra: exactly (rank comparison over Q(sqrt(D))) when the inputs are
-exact, numerically (least squares plus singular-value analysis)
-otherwise, with an arbitrary-precision retry in the ambiguous band.
+That is a linear system M z = b in Z, so feasibility is decided by
+linear algebra: exactly when the inputs are exact, by one elimination of
+[M | b] over Q(sqrt(D)) that yields a witness or, for an inconsistent
+system, rank M and rank [M | b] = rank M + 1; numerically (least squares
+plus singular-value analysis) otherwise, with an arbitrary-precision
+retry in the ambiguous band.
 
 All four formulations share one builder, ``_geodesic_system``: for
 generators w_j it solves sum_j z_j p([A X, w_j]) = -p([A X, X]) for a
@@ -187,12 +189,12 @@ def solve_linear_feasibility(
 ) -> FeasibilityResult:
     """Decide solvability of (rows) z = rhs.
 
-    Exact inputs get an exact rank decision.  Float inputs go through
-    least squares with the threshold policy from ``tolerances``;
-    scale_hint carries the natural magnitude of the unknowns (for the
-    geodesic systems, the background norm of the sampled direction) so
-    the relative residual is invariant under scaling the direction or
-    the metric.
+    Exact inputs get an exact decision from one elimination of
+    [rows | rhs].  Float inputs go through least squares with the
+    threshold policy from ``tolerances``; scale_hint carries the natural
+    magnitude of the unknowns (for the geodesic systems, the background
+    norm of the sampled direction) so the relative residual is invariant
+    under scaling the direction or the metric.
     """
     tol = tolerances or Tolerances()
     nrows = len(rows)
@@ -204,22 +206,19 @@ def solve_linear_feasibility(
         if ela.vec_is_zero(rhs):
             sol = [Q(0)] * ncols  # the witness elimination would find
         else:
-            sol = ela.solve([list(r) for r in rows], list(rhs))
+            sol, rank_m = ela.solve([list(r) for r in rows], list(rhs))
         if sol is not None:
             return FeasibilityResult(
                 "feasible", 0.0, tuple(sol), "exact",
                 detail={"certificate": "exact-solution"},
             )
-        rank_m = ela.rank([list(r) for r in rows])
-        aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-        rank_aug = ela.rank(aug)
         # informative float residual for the report
         _, rel, sratio = _lstsq_stats(
             _float_rows(rows), np.array([float(v) for v in rhs]), scale_hint
         )
         return FeasibilityResult(
             "infeasible", rel, None, "exact", sigma_ratio=sratio,
-            detail={"certificate": "exact-rank", "rank": rank_m, "rank_augmented": rank_aug},
+            detail={"certificate": "exact-rank", "rank": rank_m, "rank_augmented": rank_m + 1},
         )
     Mf = _float_rows(rows)
     bf = np.array([float(v) for v in rhs], dtype=float)

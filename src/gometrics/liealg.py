@@ -36,7 +36,6 @@ from . import rootsys
 from .scalars import (
     exact_div,
     exact_sqrt,
-    format_scalar,
     is_exact,
     squarefree_decompose,
 )
@@ -392,10 +391,6 @@ class Subspace:
 # -- module-level operations (spec names) --------------------------------
 
 
-def bracket(L: CompactLieAlgebra, x, y):
-    return L.bracket(x, y)
-
-
 def module_product(L: CompactLieAlgebra, p: Subspace, q: Subspace, label: str = "") -> Subspace:
     """Span of all brackets [p, q], as a Subspace."""
     vecs = []
@@ -725,35 +720,3 @@ def abelian(n: int, name: str = "") -> CompactLieAlgebra:
         inner=inner,
         lambda_minus_b=None,
     )
-
-
-# -- exports ---------------------------------------------------------------
-
-
-def bracket_table_csv(L: CompactLieAlgebra) -> str:
-    """CSV rows i,j,k,c_ijk for the nonzero entries with i < j."""
-    lines = ["i,j,k,c"]
-    for (i, j) in sorted(L._sparse):
-        for k, v in L._sparse[(i, j)]:
-            lines.append(f"{i},{j},{k},{format_scalar(v)}")
-    return "\n".join(lines) + "\n"
-
-
-def to_json_dict(L: CompactLieAlgebra) -> dict:
-    entries = []
-    for (i, j) in sorted(L._sparse):
-        for k, v in L._sparse[(i, j)]:
-            entries.append([i, j, k, format_scalar(v)])
-    return {
-        "schema": "1",
-        "name": L.name,
-        "dim": L.dim,
-        "field_radicand": L.field_d,
-        "basis": list(L.basis_labels),
-        "cartan_indices": list(L.cartan_indices),
-        "inner": [[format_scalar(x) for x in row] for row in L.inner],
-        "lambda_minus_b": (
-            format_scalar(L.lambda_minus_b) if L.lambda_minus_b is not None else None
-        ),
-        "structure": entries,
-    }

@@ -6,8 +6,9 @@ g(x, y) = <A x, y>.  Here A acts as a_i * Id on the i-th block of an
 orthogonal module decomposition.
 
 Facts that depend only on the decomposition are computed lazily, once
-per ``ModuleDecomposition``: the block sums that are subalgebras
-(``block_sums``, from the blocks touched by each pair of blocks), and
+per ``ModuleDecomposition``: the blocks that the bracket of each pair
+of blocks reaches (``bracket_reach``), the block sums that are
+subalgebras, read off those (``block_sums``), and
 the right-isometry kernel {W : [ad W, A] = 0} of every coefficient
 partition seen so far (``right_isometry_kernels``, keyed by
 ``partition_key``, which records only which coefficients are equal),
@@ -99,21 +100,25 @@ class ModuleDecomposition:
             out.append(tuple(row))
         return tuple(out)
 
-    def _bracket_blocks(self, i: int, j: int) -> set:
-        """Indices of the blocks that [block i, block j] has a component
-        in, plus None when it leaves the ambient span."""
+    @cached_property
+    def bracket_reach(self) -> dict:
+        """For each pair i <= j of block indices, in order, the set of
+        indices of the blocks that [block i, block j] has a component in,
+        plus None when it leaves the ambient span."""
         L = self.parent
-        out = set()
-        for u in self.blocks[i].basis:
-            for w in self.blocks[j].basis:
-                rest = L.bracket(u, w)
-                for k, block in enumerate(self.blocks):
-                    part = block.project(rest)
-                    if not ela.vec_is_zero(part):
-                        out.add(k)
-                        rest = [x - y for x, y in zip(rest, part)]
-                if not ela.vec_is_zero(rest):
-                    out.add(None)
+        out = {}
+        for i, j in itertools.combinations_with_replacement(range(len(self.blocks)), 2):
+            reach = out[i, j] = set()
+            for u in self.blocks[i].basis:
+                for w in self.blocks[j].basis:
+                    rest = L.bracket(u, w)
+                    for k, block in enumerate(self.blocks):
+                        part = block.project(rest)
+                        if not ela.vec_is_zero(part):
+                            reach.add(k)
+                            rest = [x - y for x, y in zip(rest, part)]
+                    if not ela.vec_is_zero(rest):
+                        reach.add(None)
         return out
 
     @cached_property
@@ -122,12 +127,10 @@ class ModuleDecomposition:
 
         The blocks are orthogonal, so a sum of blocks is closed under the
         bracket exactly when each bracket of two of its blocks has
-        components in its blocks only; those components are found once
-        per pair of blocks.
+        components in its blocks only (``bracket_reach``).
         """
         L = self.parent
-        pairs = itertools.combinations_with_replacement(range(len(self.blocks)), 2)
-        reach = {(i, j): self._bracket_blocks(i, j) for i, j in pairs}
+        reach = self.bracket_reach
         out = []
         for r in range(len(self.blocks), 0, -1):
             for combo in itertools.combinations(range(len(self.blocks)), r):
@@ -186,21 +189,6 @@ class MetricEndomorphism:
         return list(self.matrix_np @ np.asarray([float(x) for x in v]))
 
     @cached_property
-    def matrix_exact(self):
-        """Exact matrix of A on the whole algebra (zero off the ambient)."""
-        n = self.parent.dim
-        cols = []
-        for j in range(n):
-            e = [Q(0)] * n
-            e[j] = Q(1)
-            out = [Q(0)] * n
-            for a, block in zip(self.coefficients, self.decomposition.blocks):
-                p = block.project(e)
-                out = [x + a * y for x, y in zip(out, p)]
-            cols.append(out)
-        return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-    @cached_property
     def skew_generators(self) -> set:
         """(space, generator) pairs that ``gocheck`` has validated as
         metric-skew for this metric, so each is checked once."""
@@ -239,10 +227,6 @@ class MetricEndomorphism:
                 s = s.sum(b)
             out[a] = s
         return out
-
-    def metric_gram_np(self) -> np.ndarray:
-        """Gram matrix of the metric g(x,y) = <Ax, y> in the algebra basis."""
-        return self.parent.inner_np @ self.matrix_np
 
     def scaled(self, factor) -> "MetricEndomorphism":
         return MetricEndomorphism(

@@ -226,20 +226,6 @@ def weyl_group(rs: RootSystem) -> tuple:
     return tuple(sorted(seen))
 
 
-def chamber_reduce(rs: RootSystem, h: Vec) -> Vec:
-    """Move h into the closed dominant chamber of the positive system."""
-    h = _vec(h)
-    guard = 0
-    while True:
-        viol = next((a for a in rs.simple if dot(a, h) < 0), None)
-        if viol is None:
-            return h
-        h = reflect(rs, viol, h)
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("chamber reduction failed to terminate")
-
-
 def _canonical_subset_key(rs: RootSystem, roots: frozenset):
     """W-invariant canonical key: minimum over W of the sorted image."""
     best = None

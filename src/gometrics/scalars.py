@@ -216,16 +216,6 @@ def exact_div(x, y):
     return x / y
 
 
-def to_float(x) -> float:
-    return float(x)
-
-
-def scalar_sign(x) -> int:
-    if isinstance(x, Quad):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
 def exact_sqrt(q, d: int | None = None):
     """Exact square root of a nonnegative rational, inside Q or Q(sqrt(d)).
 
@@ -257,8 +247,3 @@ def format_scalar(x) -> str:
     if isinstance(x, float):
         return repr(x)
     return str(Q(x))
-
-
-def parse_rational(text: str) -> Q:
-    """Parse 'p/q' or an integer literal as an exact rational."""
-    return Q(text.strip())

@@ -578,23 +578,10 @@ def g2_metric(u1, u2, u3, u4, u5, decomposition: G2Decomposition | None = None) 
 def g2_block_bracket_csv(decomposition: G2Decomposition | None = None) -> str:
     """CSV matrix of which blocks receive each pairwise bracket."""
     dec = decomposition or g2_decomposition()
-    alg = dec.algebra
-    subs = dec.blocks.blocks
     lines = ["block_a,block_b,image_blocks"]
-    for i in range(5):
-        for j in range(i, 5):
-            q = module_product(alg, subs[i], subs[j])
-            if q.dim == 0:
-                image = "0"
-            else:
-                hit = []
-                for t, target in enumerate(subs):
-                    if any(
-                        not ela.vec_is_zero(target.project(v)) for v in q.basis
-                    ):
-                        hit.append(f"p{t + 1}")
-                image = "+".join(hit)
-            lines.append(f"p{i + 1},p{j + 1},{image}")
+    for (i, j), reach in dec.blocks.bracket_reach.items():
+        image = "+".join(f"p{k + 1}" for k in sorted(reach - {None}))
+        lines.append(f"p{i + 1},p{j + 1},{image if reach else 0}")
     return "\n".join(lines) + "\n"
 
 

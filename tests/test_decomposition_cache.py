@@ -178,7 +178,7 @@ def test_exact_zero_right_hand_side_skips_elimination():
         for zero in (Q(0), Quad(Q(0), Q(0), 3)):
             rhs = [zero] * len(rows)
             eliminated = FeasibilityResult(
-                "feasible", 0.0, tuple(ela.solve(rows, rhs)), "exact",
+                "feasible", 0.0, tuple(ela.solve(rows, rhs)[0]), "exact",
                 detail={"certificate": "exact-solution"},
             )
             assert solve_linear_feasibility(rows, rhs) == eliminated

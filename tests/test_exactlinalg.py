@@ -32,23 +32,24 @@ def test_rank_rectangular():
 
 
 def test_solve_inconsistent_returns_none():
-    assert ela.solve([[1, 1], [1, 1]], [1, 2]) is None
-    x = ela.solve([[1, 1], [1, 1]], [2, 2])
+    assert ela.solve([[1, 1], [1, 1]], [1, 2]) == (None, 1)
+    x, rank = ela.solve([[1, 1], [1, 1]], [2, 2])
     assert x is not None and x[0] + x[1] == 2
+    assert rank == 1
 
 
 def test_solve_free_variables_zeroed():
-    x = ela.solve([[1, 1, 0]], [5])
-    assert x == [Q(5), Q(0), Q(0)]
+    assert ela.solve([[1, 1, 0]], [5]) == ([Q(5), Q(0), Q(0)], 1)
 
 
 @settings(max_examples=60)
 @given(small_matrix(3, 3), st.lists(entry, min_size=3, max_size=3))
 def test_solve_roundtrip(m, xs):
     b = ela.matvec(m, xs)
-    x = ela.solve(m, b)
+    x, rank = ela.solve(m, b)
     assert x is not None
     assert ela.matvec(m, x) == b
+    assert rank == ela.rank(m)
 
 
 @settings(max_examples=60)
@@ -72,8 +73,8 @@ def test_int_rows_never_contaminate_with_floats():
     for row in red:
         for x in row:
             assert not isinstance(x, float)
-    sol = ela.solve(m, [0, q, 0])
-    assert sol is not None
+    sol, rank = ela.solve(m, [0, q, 0])
+    assert sol is not None and rank == 3
     assert all(not isinstance(x, float) for x in sol)
 
 

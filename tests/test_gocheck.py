@@ -28,6 +28,7 @@ from gometrics import (
 )
 from gometrics import exactlinalg as ela
 from gometrics.gocheck import SpaceValidationError, solve_linear_feasibility
+from gometrics.scalars import Quad
 
 SU2 = build_su2()
 
@@ -63,6 +64,55 @@ def test_solver_exact_infeasible_has_rank_certificate():
     assert res.witness is None
     assert res.detail["certificate"] == "exact-rank"
     assert res.detail["rank_augmented"] == res.detail["rank"] + 1
+
+
+def _reference_decision(m, b):
+    """Solve [M|b], then rank M and rank [M|b]: three eliminations."""
+    cols = len(m[0])
+    red, pivots = ela.rref([row + [v] for row, v in zip(m, b)])
+    rank_m, rank_aug = len(ela.rref(m)[1]), len(pivots)
+    if cols in pivots:
+        return "infeasible", None, rank_m, rank_aug
+    x = [Q(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][cols]
+    return "feasible", tuple(x), rank_m, rank_aug
+
+
+@st.composite
+def exact_systems(draw):
+    """Systems over Q or Q(sqrt 21): consistent, arbitrary, or with a
+    dependent row."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    if draw(st.booleans()):
+        entry = small
+    else:
+        entry = st.builds(lambda a, b: Quad(a, b, 21), small, small)
+    nrows = draw(st.integers(1, 4))
+    ncols = draw(st.integers(1, 4))
+    m = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    kind = draw(st.sampled_from(["consistent", "arbitrary", "deficient"]))
+    if kind == "deficient" and nrows > 1:
+        c = draw(entry)
+        m[-1] = [x + c * y for x, y in zip(m[0], m[-2])]
+    if kind == "consistent":
+        b = ela.matvec(m, [draw(entry) for _ in range(ncols)])
+    else:
+        b = [draw(entry) for _ in range(nrows)]
+    return m, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_systems())
+def test_solver_exact_decision_matches_three_eliminations(system):
+    m, b = system
+    status, witness, rank_m, rank_aug = _reference_decision(m, b)
+    x, rank = ela.solve(m, b)
+    assert (None if x is None else tuple(x), rank) == (witness, rank_m)
+    res = solve_linear_feasibility(m, b)
+    assert (res.status, res.witness, res.method) == (status, witness, "exact")
+    if status == "infeasible":
+        assert (res.detail["rank"], res.detail["rank_augmented"]) == (rank_m, rank_aug)
 
 
 def test_solver_float_thresholds():

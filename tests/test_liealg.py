@@ -275,16 +275,3 @@ def test_validate_rejects_indefinite_inner_product():
         with pytest.raises(liealg.AlgebraValidationError, match="positive definite"):
             _plane(inner)
     assert _plane([[2, 1], [1, 2]]).dim == 2
-
-
-def test_bracket_table_csv_and_json_export():
-    alg = build_su2()
-    csv = liealg.bracket_table_csv(alg)
-    lines = csv.strip().splitlines()
-    assert lines[0] == "i,j,k,c"
-    doc = liealg.to_json_dict(alg)
-    assert doc["schema"] == "1"
-    assert doc["dim"] == 3
-    import json
-
-    json.dumps(doc)

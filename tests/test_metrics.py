@@ -69,10 +69,6 @@ def test_apply_exact_and_float_agree():
     exact = m.apply(v)
     fl = m.matrix_np @ np.array([float(x) for x in v])
     assert np.abs(np.array([float(x) for x in exact]) - fl).max() < 1e-12
-    # matrix_exact agrees entrywise
-    me = m.matrix_exact
-    got = [sum(me[i][j] * v[j] for j in range(8)) for i in range(8)]
-    assert got == exact
 
 
 def test_coefficient_of_and_eigenspaces():
@@ -174,6 +170,6 @@ def test_detect_naturally_reductive_g2():
 def test_metric_gram_is_symmetric_positive():
     alg, dec = su3_blocks()
     m = make_metric(dec, (2.0, 1.0, 1.5, 0.5, 3.0))
-    g = m.metric_gram_np()
+    g = alg.inner_np @ m.matrix_np  # g(x, y) = <A x, y>
     assert np.abs(g - g.T).max() < 1e-12
     assert np.linalg.eigvalsh(g).min() > 0

@@ -4,8 +4,6 @@ import itertools
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from gometrics import rootsys
 from gometrics.exactlinalg import dot
@@ -77,21 +75,6 @@ def test_weyl_group_permutes_roots():
     for w in rootsys.weyl_group(rs):
         image = {rootsys._mat_apply(w, r) for r in roots}
         assert image == roots
-
-
-coords = st.integers(min_value=-4, max_value=4)
-
-
-@given(st.tuples(coords, coords, coords))
-def test_chamber_reduce_lands_dominant(v):
-    rs = g2()
-    # project into the sum-zero hyperplane first
-    s = Q(sum(v), 3)
-    h = tuple(Q(c) - s for c in v)
-    red = rootsys.chamber_reduce(rs, h)
-    assert all(dot(a, red) >= 0 for a in rs.simple)
-    # reduction preserves the orbit: same norm
-    assert dot(red, red) == dot(h, h)
 
 
 def brute_force_classes(rs):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -84,8 +85,8 @@ class RunConfig:
             ("--tol-infeas", self.tol_infeas),
             ("--tol-einstein", self.tol_einstein),
         ):
-            if not value > 0:
-                raise UsageError(f"{label} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise UsageError(f"{label} must be positive and finite, got {value}")
         if not self.tol_feas < self.tol_infeas:
             raise UsageError(
                 "--tol-feas must be strictly below --tol-infeas "

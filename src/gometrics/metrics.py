@@ -12,8 +12,9 @@ subalgebras, read off those (``block_sums``), and
 the right-isometry kernel {W : [ad W, A] = 0} of every coefficient
 partition seen so far (``right_isometry_kernels``, keyed by
 ``partition_key``, which records only which coefficients are equal),
-and the exact bracket coordinates in the frame of block bases
-(``frame_brackets``, read by the exact Ricci tensor).
+the exact bracket coordinates in the frame of block bases
+(``frame_brackets``), and the Ricci tensor compiled from them as a
+Laurent polynomial in the coefficients (``ricci_polynomial``).
 Metrics with the same partition share one kernel Subspace; a
 decomposition has at most Bell(len(blocks)) partitions.  For exact
 metrics, ``detect_naturally_reductive`` reads adaptedness of a
@@ -24,6 +25,8 @@ is in it.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
@@ -84,8 +87,8 @@ class ModuleDecomposition:
     @cached_property
     def frame_brackets(self) -> tuple:
         """K[a][b][m], the coordinate along v_m of [v_a, v_b], exact, in
-        the frame v of concatenated block bases; the exact Ricci tensor
-        reads it for every metric on this decomposition."""
+        the frame v of concatenated block bases; ``ricci_polynomial`` is
+        compiled from it."""
         L = self.parent
         vecs = [b for block in self.blocks for b in block.basis]
         norms = [L.inner_product(v, v) for v in vecs]
@@ -99,6 +102,60 @@ class ModuleDecomposition:
                 )
             out.append(tuple(row))
         return tuple(out)
+
+    @cached_property
+    def ricci_polynomial(self) -> dict:
+        """Ric[b][d] for b <= d in the frame of ``frame_brackets``, as a
+        Laurent polynomial in the block coefficients x: {(b, d): {e: c}}
+        with e an exponent tuple over the blocks and c exact; an entry that
+        vanishes identically maps to {}.
+
+        With g_a = x_A <v_a, v_a> (A the block of v_a), the Koszul
+        connection G[a][b][c] = (C[a][b][c] - C[b][c][a] + C[c][a][b]) / 2,
+        C[a][b][c] = g_c K[a][b][c], is linear in x, so in
+
+          Ric[b][d] = sum_a (1/g_a) [ sum_m (G[b][d][m] G[a][m][a]
+                                             - G[a][d][m] G[b][m][a]) / g_m
+                                      - sum_m K[a][b][m] G[m][d][a] ]
+
+        the G.G sums give terms x_P x_Q / (x_A x_M) and the K.G sum terms
+        x_P / x_A."""
+        L, K = self.parent, self.frame_brackets
+        owner = [i for i, block in enumerate(self.blocks) for _ in block.basis]
+        norms = [L.inner_product(v, v) for block in self.blocks for v in block.basis]
+        n = len(owner)
+
+        def monomial(up, down):
+            return tuple(up.count(i) - down.count(i) for i in range(len(self.blocks)))
+
+        # G[a, b, c] as (P, coefficient of x_P) pairs, nonzero entries only
+        G = {}
+        for a, b, c in itertools.product(range(n), repeat=3):
+            lin = [
+                (owner[p], exact_div(sign * norms[p] * K[i][j][p], 2))
+                for p, i, j, sign in ((c, a, b, 1), (a, b, c, -1), (b, c, a, 1))
+                if K[i][j][p]
+            ]
+            if lin:
+                G[a, b, c] = lin
+        out = {}
+        for b in range(n):
+            for d in range(b, n):
+                terms = defaultdict(int)
+                for a, m in itertools.product(range(n), repeat=2):
+                    down = (owner[a], owner[m])
+                    for sign, f, h in (
+                        (1, G.get((b, d, m), ()), G.get((a, m, a), ())),
+                        (-1, G.get((a, d, m), ()), G.get((b, m, a), ())),
+                    ):
+                        for (p, u), (q, w) in itertools.product(f, h):
+                            coeff = exact_div(sign * u * w, norms[a] * norms[m])
+                            terms[monomial((p, q), down)] += coeff
+                    if K[a][b][m]:
+                        for p, u in G.get((m, d, a), ()):
+                            terms[monomial((p,), down[:1])] -= exact_div(K[a][b][m] * u, norms[a])
+                out[b, d] = {e: c for e, c in terms.items() if c}
+        return out
 
     @cached_property
     def bracket_reach(self) -> dict:
@@ -163,12 +220,10 @@ class MetricEndomorphism:
         if len(self.coefficients) != len(self.decomposition.blocks):
             raise MetricValidationError("one coefficient per block is required")
         for a in self.coefficients:
-            if is_exact(a):
-                if not a > 0:
-                    raise MetricValidationError("metric coefficients must be positive")
-            else:
-                if not float(a) > 0:
-                    raise MetricValidationError("metric coefficients must be positive")
+            if not (a if is_exact(a) else float(a)) > 0:
+                raise MetricValidationError("metric coefficients must be positive")
+            if not (is_exact(a) or math.isfinite(a)):
+                raise MetricValidationError(f"metric coefficients must be finite, got {a}")
 
     @property
     def parent(self) -> CompactLieAlgebra:

@@ -1,19 +1,14 @@
 """Ricci curvature of left-invariant metrics on compact Lie groups.
 
-The metric is g(x, y) = <A x, y> for a block-scalar positive A.  All
-curvature data is computed from the Koszul formula in a frame of
-concatenated block bases, where g is diagonal: with structure
-components C[a][b][c] = g([b_a, b_b], b_c) the connection components
-are G[a][b][c] = (C[a][b][c] - C[b][c][a] + C[c][a][b]) / 2, and
-
-  Ric[b][d] = sum_a (1/g_a) [ sum_m (G[b][d][m] G[a][m][a]
-                                     - G[a][d][m] G[b][m][a]) / g_m
-                              - sum_m K[a][b][m] G[m][d][a] ]
-
-with K the bracket coordinates in the frame, which depend only on the
-decomposition and are kept on it.  Exact metrics get an
-exact tensor (so Einstein can be decided with no tolerance); float
-metrics go through numpy.
+The metric is g(x, y) = <A x, y> for a block-scalar positive A with
+coefficients x.  By the Koszul formula in the frame of concatenated
+block bases, every Ricci entry is a fixed Laurent polynomial in x whose
+coefficients depend only on the decomposition; it is compiled once per
+decomposition (``ModuleDecomposition.ricci_polynomial``) and evaluated
+exactly for each metric, a float coefficient being the dyadic rational
+it holds.  Exact metrics decide Einstein with no tolerance; for float
+metrics only the summary (trace, Einstein constant, deviation) is float
+arithmetic, and the verdict is a tolerance check.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ import numpy as np
 
 from .liealg import CompactLieAlgebra
 from .metrics import MetricEndomorphism, MetricValidationError
-from .scalars import exact_div
+from .scalars import Quad, exact_div
 
 
 @dataclass(frozen=True)
@@ -49,15 +44,28 @@ class RicciResult:
     einstein_exact: bool | None = None
 
 
-def _frame_vectors(metric: MetricEndomorphism):
-    """Concatenated exact block bases and their metric grams g_a."""
-    vecs, grams = [], []
-    L = metric.parent
-    for a, block in zip(metric.coefficients, metric.decomposition.blocks):
-        for b in block.basis:
-            vecs.append(list(b))
-            grams.append(a * L.inner_product(b, b))
-    return vecs, grams
+def _exact_ricci(L: CompactLieAlgebra, metric: MetricEndomorphism):
+    """Ric in the frame v of block bases, evaluated from the
+    decomposition's ``ricci_polynomial``, with the grams g_a = x_A <v_a, v_a>.
+
+    A float coefficient is read as the dyadic rational it holds, so a
+    float metric gets the exact tensor of its values."""
+    dec = metric.decomposition
+    x = [a if isinstance(a, Quad) else Q(a) for a in metric.coefficients]
+    grams = [xa * L.inner_product(v, v) for xa, block in zip(x, dec.blocks) for v in block.basis]
+    monomials = {}
+    for e in {e for terms in dec.ricci_polynomial.values() for e in terms}:
+        # multiply and divide: Quad has no **
+        value = Q(1)
+        for xi, ei in zip(x, e):
+            for _ in range(abs(ei)):
+                value = value * xi if ei > 0 else value / xi
+        monomials[e] = value
+    n = len(grams)
+    ric = [[Q(0)] * n for _ in range(n)]
+    for (b, d), terms in dec.ricci_polynomial.items():
+        ric[b][d] = ric[d][b] = sum((c * monomials[e] for e, c in terms.items()), Q(0))
+    return ric, grams
 
 
 def ricci_left_invariant(L: CompactLieAlgebra, metric: MetricEndomorphism) -> RicciResult:
@@ -67,89 +75,22 @@ def ricci_left_invariant(L: CompactLieAlgebra, metric: MetricEndomorphism) -> Ri
     if metric.decomposition.dim != L.dim:
         raise MetricValidationError("metric must cover the whole algebra")
     n = L.dim
-    vecs, grams = _frame_vectors(metric)
-    exact = metric.is_exact
-
-    if exact:
-        K = metric.decomposition.frame_brackets
-        C = [
-            [
-                [grams[c] * K[a][b][c] for c in range(n)]
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        G = [
-            [
-                [
-                    exact_div(C[a][b][c] - C[b][c][a] + C[c][a][b], 2)
-                    for c in range(n)
-                ]
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        ric = [[Q(0)] * n for _ in range(n)]
-        for b in range(n):
-            for d in range(b, n):
-                tot = Q(0)
-                for a in range(n):
-                    inner_sum = Q(0)
-                    for m in range(n):
-                        t1 = G[b][d][m] * G[a][m][a] - G[a][d][m] * G[b][m][a]
-                        if t1:
-                            inner_sum = inner_sum + exact_div(t1, grams[m])
-                        t2 = K[a][b][m] * G[m][d][a]
-                        if t2:
-                            inner_sum = inner_sum - t2
-                    if inner_sum:
-                        tot = tot + exact_div(inner_sum, grams[a])
-                ric[b][d] = tot
-                ric[d][b] = tot
-        consts = [exact_div(ric[a][a], grams[a]) for a in range(n)]
-        c0 = consts[0]
-        einstein_exact = all(c == c0 for c in consts) and all(
-            not ric[a][b] for a in range(n) for b in range(n) if a != b
-        )
-        ric_on = np.array(
-            [
-                [
-                    float(ric[a][b]) / (float(grams[a]) ** 0.5 * float(grams[b]) ** 0.5)
-                    for b in range(n)
-                ]
-                for a in range(n)
-            ]
-        )
-        frame = np.array(
-            [[float(x) for x in v] for v in vecs]
-        ).T / np.sqrt(np.array([float(g) for g in grams]))[None, :]
-        ricci_exact = tuple(tuple(row) for row in ric)
-        gram_exact = tuple(grams)
-    else:
-        frame_cols = []
-        for v, g in zip(vecs, grams):
-            frame_cols.append(np.array([float(x) for x in v]) / float(g) ** 0.5)
-        frame = np.array(frame_cols).T
-        cs = L.structure_np
-        T = np.einsum("ia,jb,ijk->abk", frame, frame, cs)
-        gg = L.inner_np @ metric.matrix_np
-        # trilinear components g([f_a, f_b], f_c); in the g-orthonormal
-        # frame these are also the bracket coordinates
-        C = np.einsum("abk,kl,lc->abc", T, gg, frame)
-        G = (C - np.transpose(C, (2, 0, 1)) + np.transpose(C, (1, 2, 0))) / 2.0
-        ric_on = (
-            np.einsum("bdm,ama->bd", G, G)
-            - np.einsum("adm,bma->bd", G, G)
-            - np.einsum("abm,mda->bd", C, G)
-        )
-        ric_on = (ric_on + ric_on.T) / 2.0
-        ricci_exact = None
-        gram_exact = None
-        einstein_exact = None
-
+    ric, grams = _exact_ricci(L, metric)
+    root = np.array([float(g) ** 0.5 for g in grams])
+    ric_on = np.array([[float(r) for r in row] for row in ric]) / np.outer(root, root)
+    vecs = [v for block in metric.decomposition.blocks for v in block.basis]
+    frame = np.array([[float(x) for x in v] for v in vecs]).T / root
     tr = float(np.trace(ric_on))
     c = tr / n
     dev = float(np.linalg.norm(ric_on - c * np.eye(n), "fro")) / n ** 0.5
+    ricci_exact = gram_exact = einstein_exact = None
+    if metric.is_exact:
+        consts = [exact_div(ric[a][a], grams[a]) for a in range(n)]
+        einstein_exact = all(k == consts[0] for k in consts) and all(
+            not ric[a][b] for a in range(n) for b in range(n) if a != b
+        )
+        ricci_exact = tuple(tuple(row) for row in ric)
+        gram_exact = tuple(grams)
     return RicciResult(
         frame_np=frame,
         ricci_on=ric_on,

@@ -89,6 +89,10 @@ def test_go_check_g2_naturally_reductive_set_exits_0():
         # a sweep over no directions would certify nothing
         ("go-check", "--space", "aw:2,1", "--metric", "1,2,3,1", "--samples", "0"),
         ("go-check", "--space", "aw:2,1", "--metric", "1,2,3,1", "--samples", "-5"),
+        # non-finite entries and tolerances would make a certificate vacuous
+        ("go-check", "--space", "aw:2,1", "--metric", "inf,1,1,1"),
+        ("go-check", "--space", "lie:g2", "--metric", "1,1,1,1,inf"),
+        ("reproduce", "g2-einstein", "--tol-einstein", "inf"),
     ],
 )
 def test_malformed_requests_exit_2(args):

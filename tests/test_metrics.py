@@ -46,6 +46,8 @@ def test_validation_rejects_bad_input():
         make_metric(dec, (1, -2, 3))
     with pytest.raises(MetricValidationError):
         make_metric(dec, (1.0, 0.0, 1.0))
+    with pytest.raises(MetricValidationError, match="finite"):
+        make_metric(dec, (1.0, float("inf"), 1.0))
     with pytest.raises(MetricValidationError):
         ModuleDecomposition(parent=alg, blocks=())
 

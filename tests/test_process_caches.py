@@ -7,7 +7,8 @@ argument checks still run before the cache, that a repeated command
 validates no algebra, and that a command run after others in the same
 process writes the bytes of a fresh process.  They also compare the
 exact Gram-Schmidt and the cached Ricci bracket coordinates against
-their uncached constructions.
+their uncached constructions, and check that the Ricci polynomial is
+compiled once per decomposition, on first use.
 """
 
 import os
@@ -22,11 +23,12 @@ from gometrics import exactlinalg as ela
 from gometrics.gocheck import go_check, sample_tangent_vectors
 from gometrics.liealg import CompactLieAlgebra, Subspace, build_su3
 from gometrics.metrics import MetricValidationError, ModuleDecomposition, make_metric
-from gometrics.ricci import ricci_left_invariant
+from gometrics.ricci import _exact_ricci, ricci_left_invariant
 from gometrics.scalars import exact_div
 from gometrics.spaces import (
     EINSTEIN_SET_1,
     EINSTEIN_SET_2,
+    EINSTEIN_SET_3,
     aloff_wallach,
     aw_extended_presentation,
     g2_decomposition,
@@ -223,27 +225,52 @@ def _ricci_targets():
         (dec.algebra, g2_metric(*EINSTEIN_SET_1, decomposition=dec)),
         (dec.algebra, g2_metric(*EINSTEIN_SET_2, decomposition=dec)),
         (su3, su3_metric),
+        (dec.algebra, g2_metric(*EINSTEIN_SET_3, decomposition=dec)),
     ]
 
 
-def _exact_parts(res):
-    return res.ricci_exact, res.gram_exact, res.einstein_exact
+def _exact_parts(L, metric):
+    res = ricci_left_invariant(L, metric)
+    return _exact_ricci(L, metric), res.ricci_exact, res.gram_exact, res.einstein_exact
 
 
-@pytest.mark.parametrize("index", range(3))
+@pytest.mark.parametrize("index", range(4))
 def test_cached_ricci_coordinates_match_uncached_computation(index):
     L, metric = _ricci_targets()[index]
     dec = metric.decomposition
     assert dec.frame_brackets == reference_frame_brackets(L, dec)
-    # a decomposition with the same blocks whose coordinates are built for
-    # this metric alone gives the same exact Ricci data as the shared one,
-    # which other metrics have already used
+    # a decomposition with the same blocks whose coordinates and Ricci
+    # polynomial are built for this metric alone gives the same exact Ricci
+    # data as the shared one, which other metrics have already used
     ricci_left_invariant(L, make_metric(dec, [Q(i + 1) for i in range(len(dec.blocks))]))
     fresh = ModuleDecomposition(parent=L, blocks=dec.blocks, name=dec.name)
-    warm = ricci_left_invariant(L, metric)
-    cold = ricci_left_invariant(L, make_metric(fresh, metric.coefficients))
-    assert _exact_parts(warm) == _exact_parts(cold)
-    assert warm.einstein_exact is not None
+    warm = _exact_parts(L, metric)
+    assert warm == _exact_parts(L, make_metric(fresh, metric.coefficients))
+    assert (warm[3] is not None) == metric.is_exact
+
+
+def test_ricci_polynomial_is_built_once_per_decomposition():
+    dec = g2_decomposition()
+    fresh = ModuleDecomposition(parent=dec.algebra, blocks=dec.blocks.blocks)
+    assert "ricci_polynomial" not in vars(fresh)
+    ricci_left_invariant(dec.algebra, make_metric(fresh, EINSTEIN_SET_2))
+    built = vars(fresh)["ricci_polynomial"]
+    ricci_left_invariant(dec.algebra, make_metric(fresh, EINSTEIN_SET_3))
+    ricci_left_invariant(dec.algebra, make_metric(fresh, (1, 2, 3, 4, 5)))
+    assert vars(fresh)["ricci_polynomial"] is built
+
+
+def test_g2_decomposition_does_not_compile_the_ricci_polynomial(clean_env):
+    # a fresh process: set-up alone must not pay for the Ricci polynomial
+    code = (
+        "from gometrics.spaces import g2_decomposition; "
+        "print(sorted(vars(g2_decomposition().blocks)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=dict(os.environ), timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ricci_polynomial" not in proc.stdout.decode()
 
 
 def test_ricci_rejects_a_metric_of_another_algebra():

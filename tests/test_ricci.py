@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -196,3 +197,53 @@ def test_einstein_check_json_round_trip():
     assert doc["schema"] == "1" and doc["kind"] == "einstein-check"
     assert doc["is_einstein"] is True and doc["decided_exactly"] is True
     json.dumps(doc)
+
+
+def park_sakane_ricci(L, blocks, x):
+    """r_k with Ric = r_k g on block k, for the background -B (Park-Sakane
+    1997): r_k = 1/(2 x_k) + (1/(4 d_k)) sum_ij [ijk] x_k/(x_i x_j)
+    - (1/(2 d_k)) sum_ij [kij] x_j/(x_k x_i), where [ijk] sums
+    <[e_a, e_b], e_c>^2 / (|e_a|^2 |e_b|^2 |e_c|^2) over the block bases."""
+    r = range(len(blocks))
+
+    def squared(u, v, w):
+        s = L.inner_product(L.bracket(u, v), w)  # Quad has no **
+        return s * s / (L.inner_product(u, u) * L.inner_product(v, v) * L.inner_product(w, w))
+
+    triple = {
+        (i, j, k): sum(
+            (
+                squared(u, v, w)
+                for u in blocks[i].basis
+                for v in blocks[j].basis
+                for w in blocks[k].basis
+            ),
+            Q(0),
+        )
+        for i in r
+        for j in r
+        for k in r
+    }
+    out = []
+    for k in r:
+        d = blocks[k].dim
+        out.append(
+            1 / (2 * x[k])
+            + sum(triple[i, j, k] * x[k] / (x[i] * x[j]) for i in r for j in r) / (4 * d)
+            - sum(triple[k, i, j] * x[j] / (x[k] * x[i]) for i in r for j in r) / (2 * d)
+        )
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_g2_ricci_matches_park_sakane_block_formula(seed):
+    rng = random.Random(seed)
+    x = [Q(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(5)]
+    dec = g2_decomposition()
+    res = ricci_left_invariant(dec.algebra, g2_metric(*x, dec))
+    ric, grams = res.ricci_exact, res.gram_exact
+    n = dec.algebra.dim
+    assert all(not ric[a][b] for a in range(n) for b in range(n) if a != b)
+    want = park_sakane_ricci(dec.algebra, dec.blocks.blocks, x)
+    owner = [k for k, block in enumerate(dec.blocks.blocks) for _ in block.basis]
+    assert [ric[a][a] / grams[a] for a in range(n)] == [want[k] for k in owner]

@@ -66,7 +66,6 @@ class UsageError(ValueError):
 class RunConfig:
     """Validated run parameters shared by every command."""
 
-    command: str
     mode: str
     seed: int
     tol_feas: float
@@ -104,8 +103,8 @@ class RunConfig:
 
 
 def parse_metric_spec(spec: str):
-    """Comma-separated positive entries: "p/q" fractions stay exact,
-    anything with a decimal point or exponent becomes a float.
+    """Comma-separated entries in [1e-100, 1e100]: "p/q" fractions stay
+    exact, anything with a decimal point or exponent becomes a float.
 
     Returns (values, any_decimal).
     """
@@ -130,6 +129,10 @@ def parse_metric_spec(spec: str):
             raise UsageError(f"bad metric entry {tok!r}: {exc}") from exc
         if not value > 0:
             raise UsageError(f"metric entries must be positive, got {tok!r}")
+        # a Fraction compares with a float exactly; products of entries
+        # outside this range overflow or underflow the float solvers
+        if not 1e-100 <= value <= 1e100:
+            raise UsageError(f"metric entries must lie in [1e-100, 1e100], got {tok!r}")
         entries.append(value)
     return entries, any_decimal
 
@@ -473,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def make_config(args) -> RunConfig:
     return RunConfig(
-        command=args.command,
         mode=args.mode if args.mode is not None else "auto",
         seed=args.seed if args.seed is not None else _env_int("SEED", 0),
         tol_feas=(

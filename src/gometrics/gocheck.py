@@ -35,7 +35,6 @@ span the commutation kernel of the metric.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
@@ -53,6 +52,12 @@ class SpaceValidationError(ValueError):
     pass
 
 
+# smallest kept singular value over the largest below which a float
+# infeasibility is not trusted, and the digits of the mpmath retry
+SIGMA_RATIO = 1e-6
+ESCALATE_DPS = 50
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Decision thresholds for float feasibility.
@@ -61,15 +66,13 @@ class Tolerances:
     squares solution is at most ``feasible_rel``; as infeasible when the
     relative residual is at least ``infeasible_rel`` and the singular
     value spectrum is trustworthy (smallest kept singular value at least
-    ``sigma_ratio`` times the largest).  Anything between is retried at
-    ``escalate_dps`` decimal digits, and stays indeterminate if the
+    ``SIGMA_RATIO`` times the largest).  Anything between is retried at
+    ``ESCALATE_DPS`` decimal digits, and stays indeterminate if the
     retry still lands in the gap.
     """
 
     feasible_rel: float = 1e-9
     infeasible_rel: float = 1e-3
-    sigma_ratio: float = 1e-6
-    escalate_dps: int = 50
 
 
 @dataclass(frozen=True)
@@ -227,10 +230,10 @@ def solve_linear_feasibility(
     z, rel, sratio = _lstsq_stats(Mf, bf, scale_hint)
     if rel <= tol.feasible_rel:
         return FeasibilityResult("feasible", rel, tuple(float(v) for v in z), "float", sigma_ratio=sratio)
-    trusted = sratio is None or sratio >= tol.sigma_ratio
+    trusted = sratio is None or sratio >= SIGMA_RATIO
     if rel >= tol.infeasible_rel and trusted:
         return FeasibilityResult("infeasible", rel, None, "float", sigma_ratio=sratio)
-    z2, rel2 = _mpmath_retry(Mf, bf, tol.escalate_dps, scale_hint)
+    z2, rel2 = _mpmath_retry(Mf, bf, ESCALATE_DPS, scale_hint)
     if rel2 <= tol.feasible_rel:
         return FeasibilityResult("feasible", rel2, tuple(z2), "mpmath", sigma_ratio=sratio)
     if rel2 >= tol.infeasible_rel and trusted:
@@ -348,18 +351,18 @@ def lie_group_go_check(
     L: CompactLieAlgebra,
     metric: MetricEndomorphism,
     X,
-    kernel: Subspace | None = None,
     tolerances: Tolerances | None = None,
 ) -> FeasibilityResult:
     """Left-invariant case: X is geodesic-orbit iff some W with
     [ad W, A] = 0 satisfies [A X, X + W] = 0.
 
-    The kernel subspace (all such W) is computed once per metric unless
-    provided.  Infeasibility over the kernel certifies that X is not a
-    geodesic-orbit direction for any presentation of the isometry group.
+    The kernel subspace (all such W) is read from the per-partition
+    cache of ``max_right_isometry_algebra``, so it is solved once per
+    coefficient partition.  Infeasibility over the kernel certifies that
+    X is not a geodesic-orbit direction for any presentation of the
+    isometry group.
     """
-    if kernel is None:
-        kernel = max_right_isometry_algebra(L, metric)
+    kernel = max_right_isometry_algebra(L, metric)
     return _geodesic_system(L, metric.apply(X), X, kernel.basis, list, tolerances)
 
 
@@ -367,66 +370,39 @@ def sample_tangent_vectors(
     decomposition: ModuleDecomposition,
     count: int,
     seed: int = 0,
-    strategy: str = "sphere",
     exact: bool = False,
 ):
     """Deterministic tangent samples from the span of a decomposition.
 
-    Strategies: "sphere" (dense directions), "per_block" (one block at a
-    time), "cross_block" (pairs of blocks), "generic" (dense with small
-    integer coordinates; always exact).  With exact=True coordinates are
-    small integers over the exact block bases, so downstream checks stay
-    in exact arithmetic.
+    Float samples are unit directions, normally distributed over the
+    ambient span.  With exact=True coordinates are small integers over
+    the exact basis of the ambient span, so downstream checks stay in
+    exact arithmetic.
     """
     rng = np.random.default_rng(seed)
-    blocks = decomposition.blocks
     amb = decomposition.ambient
     n = decomposition.parent.dim
     out = []
-
-    def exact_combo(subspaces):
-        v = [Q(0)] * n
-        nonzero = False
-        for s in subspaces:
-            for b in s.basis:
+    for _ in range(count):
+        if exact:
+            v = [Q(0)] * n
+            nonzero = False
+            for b in amb.basis:
                 c = int(rng.integers(-9, 10))
                 if c:
                     nonzero = True
                     v = [x + Q(c) * y for x, y in zip(v, b)]
-        if not nonzero:
-            b = subspaces[0].basis[0]
-            v = [x + y for x, y in zip(v, b)]
-        return v
-
-    def float_combo(subspaces):
-        v = np.zeros(n)
-        for s in subspaces:
-            coeff = rng.standard_normal(s.dim)
-            v += s.onb_np @ coeff
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            v = subspaces[0].onb_np[:, 0]
-            nv = 1.0
-        return list(v / nv)
-
-    for i in range(count):
-        if strategy == "sphere":
-            out.append(exact_combo([amb]) if exact else float_combo([amb]))
-        elif strategy == "per_block":
-            blk = blocks[i % len(blocks)]
-            out.append(exact_combo([blk]) if exact else float_combo([blk]))
-        elif strategy == "cross_block":
-            if len(blocks) < 2:
-                pair = [blocks[0]]
-            else:
-                combos = list(itertools.combinations(range(len(blocks)), 2))
-                a, b = combos[i % len(combos)]
-                pair = [blocks[a], blocks[b]]
-            out.append(exact_combo(pair) if exact else float_combo(pair))
-        elif strategy == "generic":
-            out.append(exact_combo([amb]))
+            if not nonzero:
+                v = [x + y for x, y in zip(v, amb.basis[0])]
         else:
-            raise ValueError(f"unknown sampling strategy {strategy!r}")
+            # adding 0.0 turns a -0.0 entry into 0.0
+            v = amb.onb_np @ rng.standard_normal(amb.dim) + 0.0
+            nv = np.linalg.norm(v)
+            if nv == 0:
+                v = amb.onb_np[:, 0]
+                nv = 1.0
+            v = list(v / nv)
+        out.append(v)
     return out
 
 
@@ -446,7 +422,6 @@ class GOCertificate:
     results: tuple
     samples: tuple
     seed: int
-    strategy: str
     tolerances: Tolerances
 
     def to_json_dict(self) -> dict:
@@ -476,12 +451,12 @@ class GOCertificate:
             "metric_coefficients": fmt_vec(self.metric_coefficients),
             "verdict": self.verdict,
             "seed": self.seed,
-            "strategy": self.strategy,
+            "strategy": "sphere",
             "tolerances": {
                 "feasible_rel": self.tolerances.feasible_rel,
                 "infeasible_rel": self.tolerances.infeasible_rel,
-                "sigma_ratio": self.tolerances.sigma_ratio,
-                "escalate_dps": self.tolerances.escalate_dps,
+                "sigma_ratio": SIGMA_RATIO,
+                "escalate_dps": ESCALATE_DPS,
             },
             "checks": entries,
         }
@@ -493,19 +468,17 @@ def go_check(
     formulation: str = "auto",
     count: int = 24,
     seed: int = 0,
-    strategy: str = "sphere",
     exact: bool = False,
     samples=None,
     extra: Subspace | None = None,
-    kernel: Subspace | None = None,
     tolerances: Tolerances | None = None,
 ) -> GOCertificate:
     """Run a feasibility sweep and aggregate the verdict.
 
     target is either a CompactLieAlgebra (left-invariant case) or a
     ReductiveSpace.  Directions come from ``samples`` when given,
-    otherwise from ``sample_tangent_vectors`` with the stated seed and
-    strategy, so reports are reproducible byte for byte.  No directions
+    otherwise from ``sample_tangent_vectors`` with the stated seed, so
+    reports are reproducible byte for byte.  No directions
     (``count`` below 1 or empty ``samples``) raise ValueError.
     """
     tol = tolerances or Tolerances()
@@ -514,7 +487,7 @@ def go_check(
         formulation = "lie_group" if group_mode else "normal_transitive"
     if samples is None:
         samples = sample_tangent_vectors(
-            metric.decomposition, count, seed=seed, strategy=strategy, exact=exact
+            metric.decomposition, count, seed=seed, exact=exact
         )
     samples = [list(x) for x in samples]
     if not samples:
@@ -525,9 +498,7 @@ def go_check(
         if formulation == "lie_group":
             if not group_mode:
                 raise ValueError("lie_group formulation needs an algebra target")
-            if kernel is None:
-                kernel = max_right_isometry_algebra(target, metric)
-            results.append(lie_group_go_check(target, metric, x, kernel=kernel, tolerances=tol))
+            results.append(lie_group_go_check(target, metric, x, tolerances=tol))
         elif formulation == "direct":
             results.append(go_feasible_direct(target, metric, x, tolerances=tol))
         elif formulation == "reduced":
@@ -552,6 +523,5 @@ def go_check(
         results=tuple(results),
         samples=tuple(tuple(x) for x in samples),
         seed=seed,
-        strategy=strategy,
         tolerances=tol,
     )

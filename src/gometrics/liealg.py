@@ -66,7 +66,6 @@ class CompactLieAlgebra:
         inner,
         lambda_minus_b=None,
         cartan_indices=(),
-        root_map=None,
         field_d: int | None = None,
         validate: bool = True,
     ):
@@ -79,7 +78,6 @@ class CompactLieAlgebra:
         self.inner = tuple(tuple(row) for row in inner)
         self.lambda_minus_b = lambda_minus_b
         self.cartan_indices = tuple(cartan_indices)
-        self.root_map = dict(root_map or {})
         self.field_d = field_d
         if validate:
             self.validate()
@@ -365,10 +363,9 @@ class Subspace:
         )
         return Subspace.from_vectors(self.parent, vecs, label=label)
 
-    def orthogonal_complement(self, within: "Subspace | None" = None, label: str = "") -> "Subspace":
-        amb = within or Subspace.from_indices(self.parent, range(self.parent.dim))
+    def orthogonal_complement(self, label: str = "") -> "Subspace":
         vecs = []
-        for v in amb.basis:
+        for v in Subspace.from_indices(self.parent, range(self.parent.dim)).basis:
             w = [x - y for x, y in zip(v, self.project(v))]
             if not ela.vec_is_zero(w):
                 vecs.append(w)
@@ -482,13 +479,6 @@ def build_su3(k: int = 2, l: int = 1) -> CompactLieAlgebra:
     for i in range(1, n):
         inner[i][i] = Q(1)
 
-    root_map = {}
-    for idx, (u, v, rz, r0) in enumerate(planes):
-        vec = [Q(0)] * n
-        vec[0] = 2 * rz / L
-        vec[1] = r0
-        root_map[f"theta{idx + 1}"] = (u, v, tuple(vec))
-
     labels = ("Z", "X0", "X1", "X2", "X3", "X4", "X5", "X6")
     return CompactLieAlgebra(
         name=f"su3[w=({k},{l},{m})]",
@@ -497,7 +487,6 @@ def build_su3(k: int = 2, l: int = 1) -> CompactLieAlgebra:
         inner=inner,
         lambda_minus_b=Q(1, 12),
         cartan_indices=(0, 1),
-        root_map=root_map,
         field_d=field_d,
     )
 
@@ -641,13 +630,6 @@ def build_compact_from_rootsystem(
         lab = rs.label(g)
         labels.extend([f"U[{lab}]", f"V[{lab}]"])
 
-    root_map = {}
-    for g in pos:
-        vec = [Q(0)] * dim
-        for ti, coeff in enumerate(t_coords(g)):
-            vec[ti] = coeff
-        root_map[rs.label(g)] = (u_idx(g), v_idx(g), tuple(vec))
-
     for signs in itertools.product((1, -1), repeat=len(sum_pairs)):
         c = [[[Q(0)] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), comps in assemble(signs).items():
@@ -661,7 +643,6 @@ def build_compact_from_rootsystem(
             inner=inner,
             lambda_minus_b=Q(1),
             cartan_indices=tuple(range(r)),
-            root_map=root_map,
             field_d=field_d,
             validate=False,
         )

@@ -8,7 +8,7 @@ orthogonal module decomposition.
 Facts that depend only on the decomposition are computed lazily, once
 per ``ModuleDecomposition``: the blocks that the bracket of each pair
 of blocks reaches (``bracket_reach``), the block sums that are
-subalgebras, read off those (``block_sums``), and
+subalgebras, read off those (``block_sum_indices``, ``block_sums``), and
 the right-isometry kernel {W : [ad W, A] = 0} of every coefficient
 partition seen so far (``right_isometry_kernels``, keyed by
 ``partition_key``, which records only which coefficients are equal),
@@ -179,33 +179,43 @@ class ModuleDecomposition:
         return out
 
     @cached_property
-    def block_sums(self) -> tuple:
-        """All sums of blocks that are subalgebras, largest first.
+    def block_sum_indices(self) -> tuple:
+        """Block index tuples of the block sums that are subalgebras,
+        largest first.
 
         The blocks are orthogonal, so a sum of blocks is closed under the
         bracket exactly when each bracket of two of its blocks has
         components in its blocks only (``bracket_reach``).
         """
-        L = self.parent
         reach = self.bracket_reach
+        out = [
+            combo
+            for r in range(len(self.blocks), 0, -1)
+            for combo in itertools.combinations(range(len(self.blocks)), r)
+            if all(
+                reach[i, j] <= set(combo)
+                for i, j in itertools.combinations_with_replacement(combo, 2)
+            )
+        ]
+        out.sort(key=lambda combo: -sum(self.blocks[i].dim for i in combo))
+        return tuple(out)
+
+    @cached_property
+    def block_sums(self) -> tuple:
+        """The block sums that are subalgebras, as Subspaces, in the order
+        of ``block_sum_indices``."""
         out = []
-        for r in range(len(self.blocks), 0, -1):
-            for combo in itertools.combinations(range(len(self.blocks)), r):
-                closed = all(
-                    reach[i, j] <= set(combo)
-                    for i, j in itertools.combinations_with_replacement(combo, 2)
+        for combo in self.block_sum_indices:
+            s = self.blocks[combo[0]]
+            for i in combo[1:]:
+                s = s.sum(self.blocks[i])
+            out.append(
+                Subspace(
+                    parent=self.parent,
+                    basis=s.basis,
+                    label="+".join(self.blocks[i].label or f"block{i + 1}" for i in combo),
                 )
-                if closed:
-                    s = self.blocks[combo[0]]
-                    for i in combo[1:]:
-                        s = s.sum(self.blocks[i])
-                    s = Subspace(
-                        parent=L,
-                        basis=s.basis,
-                        label="+".join(self.blocks[i].label or f"block{i + 1}" for i in combo),
-                    )
-                    out.append(s)
-        out.sort(key=lambda s: -s.dim)
+            )
         return tuple(out)
 
 
@@ -258,13 +268,6 @@ class MetricEndomorphism:
             proj = onb @ onb.T @ self.parent.inner_np
             out += float(a) * proj
         return out
-
-    def coefficient_of(self, v):
-        """The eigenvalue on the block containing v; None if v straddles."""
-        for a, block in zip(self.coefficients, self.decomposition.blocks):
-            if block.contains(v):
-                return a
-        return None
 
     def eigenspaces(self):
         """Merged blocks per distinct coefficient, as {coefficient: Subspace}.
@@ -383,89 +386,56 @@ def subalgebra_block_sums(decomposition: ModuleDecomposition) -> tuple:
 
 
 def detect_naturally_reductive(
-    L: CompactLieAlgebra,
-    metric: MetricEndomorphism,
-    candidates=None,
+    L: CompactLieAlgebra, metric: MetricEndomorphism
 ) -> NaturalReductivityResult:
     """Search for a subalgebra exhibiting the metric in the standard
-    naturally reductive normal form.
+    naturally reductive normal form (D'Atri-Ziller).
 
     A candidate h certifies the metric when A restricts to h, acts as a
     single scalar x on the orthogonal complement of h, and commutes with
     ad(h) on h itself (scalar on each simple ideal, anything positive on
-    the center).  Candidates default to all block sums that are
-    subalgebras, visited in descending dimension; a negative answer
-    therefore means no candidate certifies, not a proof that none exists
-    outside the candidate list.  When every coefficient is distinct the
-    block sums are exhaustive, because the complement of any certifying
-    subalgebra must be a union of eigenspaces of A.
+    the center).  The candidates are the block sums that are subalgebras,
+    visited in descending dimension.  The blocks are orthogonal and span
+    g, so A preserves every block sum h and the complement of h is the
+    sum of the blocks outside it: h passes the first two conditions
+    exactly when the blocks outside it share one coefficient x (for float
+    metrics, within 1e-10 relative to the first of them), and its ideal
+    coefficients are the coefficients of the blocks in it, one per basis
+    vector.  The third condition is read off the right-isometry kernel
+    for exact metrics and tested by ``is_adapted`` for float ones.
+
+    A negative answer means no block sum certifies, not a proof that no
+    subalgebra does.  When every coefficient is distinct the block sums
+    are exhaustive, because the complement of any certifying subalgebra
+    must be a union of eigenspaces of A.
     """
-    if metric.decomposition.dim != L.dim:
+    dec = metric.decomposition
+    if dec.dim != L.dim:
         raise MetricValidationError("metric must cover the whole algebra")
-    given = candidates is not None
-    if not given:
-        candidates = subalgebra_block_sums(metric.decomposition)
+    coeffs = metric.coefficients
     exact = metric.is_exact
-    tol = 0 if exact else 1e-10
-
-    def vanishes(vec) -> bool:
+    sums = subalgebra_block_sums(dec)
+    for checked, (held, h) in enumerate(zip(dec.block_sum_indices, sums), start=1):
+        outside = [a for i, a in enumerate(coeffs) if i not in held]
+        x = outside[0] if outside else None  # None: h is everything
         if exact:
-            return ela.vec_is_zero(vec)
-        return max(abs(float(x)) for x in vec) <= tol
-
-    checked = 0
-    for h in candidates:
-        checked += 1
-        if h.dim == 0:
-            continue
-        # block sums are subalgebras by construction
-        if given and not is_subalgebra(L, h):
-            continue
-        m = h.orthogonal_complement()
-        # A must preserve h (and hence m)
-        if not all(vanishes(m.project(metric.apply(b))) for b in h.basis):
-            continue
-        # single scalar on m
-        x = None
-        ok = True
-        for b in m.basis:
-            img = metric.apply(b)
-            c = exact_div(L.inner_product(img, b), L.inner_product(b, b))
-            resid = [u - c * v for u, v in zip(img, b)]
-            if not vanishes(resid):
-                ok = False
-                break
-            if x is None:
-                x = c
-            elif exact:
-                if x != c:
-                    ok = False
-                    break
-            elif abs(float(x) - float(c)) > tol * max(1.0, abs(float(x))):
-                ok = False
-                break
-        if not ok:
-            continue
-        if m.dim == 0:
-            x = None  # bi-invariant-type certificate: h is everything
-        # ad(h)-invariance of A: on g, exactly h inside the kernel; float
-        # metrics keep the 1e-12 test, which accepts near-equal coefficients
-        # that the exact partition would split
-        if exact:
+            if any(a != x for a in outside):
+                continue
+            # ad(h)-invariance of A: on g, exactly h inside the kernel
             if not max_right_isometry_algebra(L, metric).contains_subspace(h):
                 continue
-        elif not is_adapted(metric, h):
-            continue
-        ideal_coeffs = tuple(
-            metric.coefficient_of(b)
-            for b in h.basis
-            if metric.coefficient_of(b) is not None
-        )
+        else:
+            if any(abs(float(a) - float(x)) > 1e-10 * max(1.0, abs(float(x))) for a in outside):
+                continue
+            # the 1e-12 test accepts near-equal coefficients that the exact
+            # partition of the kernel would split
+            if not is_adapted(metric, h):
+                continue
         return NaturalReductivityResult(
             found=True,
             subalgebra=h,
             transverse_coefficient=x,
-            ideal_coefficients=ideal_coeffs,
+            ideal_coefficients=tuple(coeffs[i] for i in held for _ in dec.blocks[i].basis),
             checked=checked,
         )
-    return NaturalReductivityResult(found=False, checked=checked)
+    return NaturalReductivityResult(found=False, checked=len(sums))

@@ -27,14 +27,13 @@ from .scalars import Quad, exact_div
 class RicciResult:
     """Ricci data in the metric-orthonormal frame.
 
-    frame_np columns are g-orthonormal basis vectors (algebra
-    coordinates); ricci_on is the Ricci tensor in that frame.  For exact
+    ricci_on is the Ricci tensor in the g-orthonormal frame of block
+    basis vectors, each divided by its metric length.  For exact
     metrics ricci_exact holds the tensor in the unnormalized block-basis
     frame together with the diagonal metric grams, which is enough to
     decide the Einstein property exactly.
     """
 
-    frame_np: np.ndarray
     ricci_on: np.ndarray
     scalar_curvature: float
     einstein_constant: float
@@ -78,8 +77,6 @@ def ricci_left_invariant(L: CompactLieAlgebra, metric: MetricEndomorphism) -> Ri
     ric, grams = _exact_ricci(L, metric)
     root = np.array([float(g) ** 0.5 for g in grams])
     ric_on = np.array([[float(r) for r in row] for row in ric]) / np.outer(root, root)
-    vecs = [v for block in metric.decomposition.blocks for v in block.basis]
-    frame = np.array([[float(x) for x in v] for v in vecs]).T / root
     tr = float(np.trace(ric_on))
     c = tr / n
     dev = float(np.linalg.norm(ric_on - c * np.eye(n), "fro")) / n ** 0.5
@@ -92,7 +89,6 @@ def ricci_left_invariant(L: CompactLieAlgebra, metric: MetricEndomorphism) -> Ri
         ricci_exact = tuple(tuple(row) for row in ric)
         gram_exact = tuple(grams)
     return RicciResult(
-        frame_np=frame,
         ricci_on=ric_on,
         scalar_curvature=tr,
         einstein_constant=c,

@@ -30,6 +30,7 @@ from functools import cached_property, lru_cache
 
 from . import exactlinalg as ela
 from .gocheck import (
+    SIGMA_RATIO,
     ReductiveSpace,
     Tolerances,
     go_check,
@@ -320,7 +321,7 @@ def aw_go_classify(k: int, l: int, seed: int = 0, tolerances: Tolerances | None 
         metric = aw_metric(aw, *coeffs)
         directions = [_aw_ambient(_PROBE)]
         directions += sample_tangent_vectors(
-            aw.blocks, 1, seed=seed, strategy="generic", exact=True
+            aw.blocks, 1, seed=seed, exact=True
         )
         checks = []
         for X in directions:
@@ -391,7 +392,6 @@ class AWExtendedPresentation:
     system agree with the compensated ones on the base presentation.
     """
 
-    base: AloffWallach
     algebra: CompactLieAlgebra
     space: ReductiveSpace
     blocks: ModuleDecomposition
@@ -416,7 +416,7 @@ def aw_extended_presentation(aw: AloffWallach, x1, x2, x3, x4) -> AWExtendedPres
     u3, space, blocks = aw.extension
     metric = make_metric(blocks, (x1, x2, x3, 2 * x4))
     return AWExtendedPresentation(
-        base=aw, algebra=u3, space=space, blocks=blocks, metric=metric
+        algebra=u3, space=space, blocks=blocks, metric=metric
     )
 
 
@@ -621,15 +621,15 @@ def reproduce_main_theorem(
     seed: int = 0,
     einstein_tolerance: float = 1e-5,
     tolerances: Tolerances | None = None,
-    sample_count: int = 12,
 ) -> dict:
     """Re-check the three Einstein coefficient sets on the five blocks.
 
     For each set the driver reports the Einstein verdict, the
-    naturally-reductive detection, and a geodesic-orbit certificate; for
-    the float set it adds per-coefficient Einstein perturbations and a
-    sweep of corner perturbations under which the non-geodesic-orbit
-    verdict must persist.  Deterministic for a fixed seed.
+    naturally-reductive detection, and a geodesic-orbit certificate over
+    12 sampled directions; for the float set it adds per-coefficient
+    Einstein perturbations and a sweep of corner perturbations under
+    which the non-geodesic-orbit verdict must persist.  Deterministic for
+    a fixed seed.
     """
     tol = tolerances or Tolerances()
     dec = g2_decomposition()
@@ -650,11 +650,9 @@ def reproduce_main_theorem(
             alg,
             metric,
             formulation="lie_group",
-            count=sample_count,
+            count=12,
             seed=seed,
-            strategy="sphere",
             exact=metric.is_exact,
-            kernel=kernel,
             tolerances=tol,
         )
         entries.append(
@@ -719,10 +717,8 @@ def reproduce_main_theorem(
             alg,
             metric,
             formulation="lie_group",
-            kernel=kernel,
             count=6,
             seed=seed,
-            strategy="sphere",
             tolerances=tol,
         )
         if cert.verdict != "non-go-certified":
@@ -738,7 +734,7 @@ def reproduce_main_theorem(
             "einstein": einstein_tolerance,
             "feasible_rel": tol.feasible_rel,
             "infeasible_rel": tol.infeasible_rel,
-            "sigma_ratio": tol.sigma_ratio,
+            "sigma_ratio": SIGMA_RATIO,
         },
         "parameter_sets": entries,
         "perturbations": {

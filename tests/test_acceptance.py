@@ -276,7 +276,7 @@ def test_criterion_08_non_go_certificate():
     assert all(expected.contains(v) for v in kernel.basis)
 
     cert = go_check(
-        alg, metric, formulation="lie_group", count=12, seed=0, kernel=kernel
+        alg, metric, formulation="lie_group", count=12, seed=0
     )
     assert cert.verdict == "non-go-certified"
     strong = [
@@ -295,7 +295,7 @@ def test_criterion_08_non_go_certificate():
         pker = max_right_isometry_algebra(alg, pmetric)
         assert pker.dim == 4
         pcert = go_check(
-            alg, pmetric, formulation="lie_group", count=6, seed=0, kernel=pker
+            alg, pmetric, formulation="lie_group", count=6, seed=0
         )
         assert pcert.verdict == "non-go-certified", signs
     elapsed = time.perf_counter() - start

@@ -1,5 +1,6 @@
 """Command line contract: exit codes, env precedence, atomic output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -93,12 +94,52 @@ def test_go_check_g2_naturally_reductive_set_exits_0():
         ("go-check", "--space", "aw:2,1", "--metric", "inf,1,1,1"),
         ("go-check", "--space", "lie:g2", "--metric", "1,1,1,1,inf"),
         ("reproduce", "g2-einstein", "--tol-einstein", "inf"),
+        # entries whose products overflow or underflow a float
+        ("go-check", "--space", "lie:su2", "--metric", "1e200,1e-200,1"),
+        ("go-check", "--space", "lie:su2", "--metric", f"{10 ** 400},1,2"),
+        ("go-check", "--space", "lie:g2", "--metric", "1e300,1,1,1,1"),
     ],
 )
 def test_malformed_requests_exit_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stderr.startswith(b"error:") or b"error" in proc.stderr
+
+
+def test_coefficients_at_the_range_bounds_are_accepted_without_warning():
+    proc = run_cli(
+        "go-check", "--space", "lie:su2", "--metric", "1e100,1e-100,1",
+        env_extra={"PYTHONWARNINGS": "error"},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == b""
+
+
+# sha256 of reports that hold no least-squares or SVD floats, so their
+# bytes do not depend on the BLAS build
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (("roots", "a2"), "fef75ea0908f3e229a5adef0a375079995ab155fc4db57e85c062a31fa82463e"),
+        (("roots", "g2"), "2204de8d3f5e057c60975107e8919d501d0f3c7f33560f8b477a896fe6e50cd9"),
+        (
+            ("go-check", "--space", "aw:2,1", "--metric", "1,1,1,2"),
+            "87938062ab7831264436afd8b0e926c807cc955d1dfdd65f9559988bfda6868a",
+        ),
+        (
+            ("go-check", "--space", "lie:su3", "--metric", "1,1,1,2,2"),
+            "c0b5145d9aa84f8574c298c5f5d0c7813368f0f65e9a48c5e402be691f7bf9f0",
+        ),
+        (
+            ("go-check", "--space", "lie:g2", "--metric", "1,1,11/9,11/9,1", "--samples", "8"),
+            "636e2f9ab0d269e89a5fd9c89e3e7f9f4121e33d8fba2e105bda0f3cdc7b7327",
+        ),
+    ],
+)
+def test_exact_reports_keep_their_bytes(args, digest):
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_decimal_metric_forces_float_mode():

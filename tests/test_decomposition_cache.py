@@ -166,10 +166,6 @@ def test_natural_reductivity_results_are_unchanged():
     su3, metric = build_target("lie:su3", tuple(Q(c) for c in (1, 1, 1, 2, 2)))
     want = (True, "axis-z+axis-x0+plane-12", 4, Q(2), (Q(1),) * 4, 2)
     assert _summary(detect_naturally_reductive(su3, metric)) == want
-    # explicit candidates are still checked for closure
-    block = dec.blocks.blocks[2]
-    res = detect_naturally_reductive(L, g2_metric(*EINSTEIN_SET_2, decomposition=dec), [block])
-    assert not res.found and res.checked == 1
 
 
 def test_exact_zero_right_hand_side_skips_elimination():

@@ -206,9 +206,9 @@ def test_su2_distinct_axes_stay_feasible_mixed_directions_fail():
     kernel = max_right_isometry_algebra(SU2, metric)
     assert kernel.dim == 0
     for i in range(3):
-        assert lie_group_go_check(SU2, metric, basis_vec(i), kernel=kernel).feasible
+        assert lie_group_go_check(SU2, metric, basis_vec(i)).feasible
     mixed = [Q(1), Q(1), Q(0)]
-    res = lie_group_go_check(SU2, metric, mixed, kernel=kernel)
+    res = lie_group_go_check(SU2, metric, mixed)
     assert res.status == "infeasible"
     assert res.detail["certificate"] == "exact-rank"
 
@@ -219,16 +219,6 @@ def test_float_infeasible_metric_flags_residual_and_sigma():
     assert res.status == "infeasible" and res.method == "float"
     assert res.residual_rel >= 1e-3
     assert res.sigma_ratio is None or res.sigma_ratio >= 1e-6
-
-
-def test_kernel_precomputation_matches_internal():
-    metric = su2_metric(Q(2), Q(1), Q(1))
-    kernel = max_right_isometry_algebra(SU2, metric)
-    x = [Q(1), Q(2), Q(3)]
-    with_k = lie_group_go_check(SU2, metric, x, kernel=kernel)
-    without = lie_group_go_check(SU2, metric, x)
-    assert with_k.status == without.status
-    assert with_k.witness == without.witness
 
 
 @given(
@@ -267,40 +257,6 @@ def test_exact_samples_stay_exact():
     xs = sample_tangent_vectors(metric.decomposition, 5, seed=0, exact=True)
     for x in xs:
         assert all(isinstance(v, Q) for v in x)
-
-
-def test_per_block_samples_lie_in_single_blocks():
-    aw, metric = aw_setup()
-    dec = metric.decomposition
-    xs = sample_tangent_vectors(dec, len(dec.blocks), seed=1, strategy="per_block", exact=True)
-    for i, x in enumerate(xs):
-        assert dec.blocks[i % len(dec.blocks)].contains(x)
-
-
-def test_cross_block_samples_span_two_blocks():
-    aw, metric = aw_setup()
-    dec = metric.decomposition
-    xs = sample_tangent_vectors(dec, 4, seed=1, strategy="cross_block", exact=True)
-    import itertools
-
-    combos = list(itertools.combinations(range(len(dec.blocks)), 2))
-    for i, x in enumerate(xs):
-        a, b = combos[i % len(combos)]
-        joined = dec.blocks[a].sum(dec.blocks[b], label="pair")
-        assert joined.contains(x)
-
-
-def test_generic_strategy_is_always_exact():
-    aw, metric = aw_setup()
-    xs = sample_tangent_vectors(metric.decomposition, 3, seed=9, strategy="generic")
-    for x in xs:
-        assert all(isinstance(v, Q) for v in x)
-
-
-def test_unknown_strategy_rejected():
-    aw, metric = aw_setup()
-    with pytest.raises(ValueError):
-        sample_tangent_vectors(metric.decomposition, 1, strategy="bogus")
 
 
 # ------------------------------------------------- sweeps and aggregation
@@ -371,6 +327,19 @@ def _projected_system(space, metric, X, generators):
     return rows, rhs
 
 
+# directions in two tangent blocks each, coordinates (Z, X0, X1..X6):
+# m1 + m2, m1 + m3, m1 + m4 and m2 + m3
+_TWO_BLOCK_DIRECTIONS = tuple(
+    [Q(c) for c in x]
+    for x in (
+        (0, 0, 1, 2, -1, 3, 0, 0),
+        (0, 0, 2, -1, 0, 0, 1, 1),
+        (0, 3, 1, 1, 0, 0, 0, 0),
+        (0, 0, 0, 0, 1, -2, 3, 1),
+    )
+)
+
+
 @pytest.mark.parametrize("k,l", [(2, 1), (3, 2)])
 def test_direct_and_reduced_solve_the_projected_system(k, l):
     aw = aloff_wallach(k, l)
@@ -381,8 +350,7 @@ def test_direct_and_reduced_solve_the_projected_system(k, l):
         coeffs = [Q(c) for c in coeffs]
         metric = aw_metric(aw, *coeffs)
         ext = aw_extended_presentation(aw, *coeffs)
-        xs = sample_tangent_vectors(aw.blocks, 4, seed=5, strategy="cross_block", exact=True)
-        for x in map(list, xs):
+        for x in _TWO_BLOCK_DIRECTIONS:
             cases = [
                 (aw.space, metric, x, iso, go_feasible_direct(aw.space, metric, x)),
                 (

@@ -15,7 +15,14 @@ retry in the ambiguous band.
 
 All four formulations share one builder, ``_geodesic_system``: for
 generators w_j it solves sum_j z_j p([A X, w_j]) = -p([A X, X]) for a
-linear pairing p chosen by the formulation.  For the direct and reduced
+linear pairing p chosen by the formulation.  Each (algebra, generators,
+pairing) is compiled once into a ``liealg.BracketSystem``, kept on the
+object that owns that data: the ``ReductiveSpace`` for the direct form,
+the reduced form (one per extra Subspace) and the normal-transitive
+form, and the cached right-isometry kernel Subspace for the group case.
+A direction then costs M = sum_a (A X)_a G[a] and one contraction of
+(A X, X) with the pair tensor S, exact or float, with no bracket,
+projection or inner product.  For the direct and reduced
 systems p pairs against the complement basis, which gives the lemma's
 system entry for entry: with proj_m the orthogonal projection (self-
 adjoint) and A X in m,
@@ -43,7 +50,7 @@ import mpmath as mp
 import numpy as np
 
 from . import exactlinalg as ela
-from .liealg import CompactLieAlgebra, Subspace, centralizer, is_subalgebra
+from .liealg import BracketSystem, CompactLieAlgebra, Subspace, centralizer, is_subalgebra
 from .metrics import MetricEndomorphism, ModuleDecomposition, max_right_isometry_algebra
 from .scalars import format_scalar, is_exact
 
@@ -106,13 +113,38 @@ class ReductiveSpace:
                     raise SpaceValidationError("complement is not ad(isotropy)-invariant")
 
     @cached_property
-    def _normal_transitive_bases(self):
-        """(generators, pairing basis) of the normal-transitive system:
-        the isotropy plus its centralizer in the complement, and the
-        orthogonal complement of the isotropy."""
+    def _systems(self) -> dict:
+        """Compiled direct and reduced systems by extra generators, filled
+        by ``geodesic_system``."""
+        return {}
+
+    def geodesic_system(self, extra: Subspace | None = None) -> BracketSystem:
+        """The system of the direct form (no extra) or the reduced form:
+        the isotropy plus extra as generators, paired against the
+        complement basis; compiled once per extra Subspace."""
+        if extra not in self._systems:
+            gens = self.isotropy.basis + (extra.basis if extra is not None else ())
+            self._systems[extra] = BracketSystem(self.algebra, gens, self.complement.basis)
+        return self._systems[extra]
+
+    @cached_property
+    def normal_transitive_system(self) -> BracketSystem:
+        """The normal-transitive system, compiled once: the isotropy plus
+        its centralizer in the complement as generators, paired against
+        the orthogonal complement of the isotropy."""
         L, h = self.algebra, self.isotropy
         cm = centralizer(L, h).intersect(self.complement, label="centralizer-in-complement")
-        return h.basis + cm.basis, h.orthogonal_complement(label="h-perp").basis
+        return BracketSystem(L, h.basis + cm.basis, h.orthogonal_complement(label="h-perp").basis)
+
+    @cached_property
+    def _complement_perp(self) -> tuple:
+        return self.complement.orthogonal_complement().basis
+
+    def in_complement(self, v) -> bool:
+        """Exact membership of v in the complement: v is orthogonal to the
+        orthogonal complement of the complement, computed once."""
+        L = self.algebra
+        return not any(L.inner_product(v, y) for y in self._complement_perp)
 
     @property
     def is_orthogonal(self) -> bool:
@@ -135,10 +167,6 @@ class FeasibilityResult:
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
-
-
-def _float_rows(rows):
-    return np.array([[float(x) for x in r] for r in rows], dtype=float)
 
 
 def _lstsq_stats(Mf: np.ndarray, bf: np.ndarray, scale_hint: float = 0.0):
@@ -217,14 +245,14 @@ def solve_linear_feasibility(
             )
         # informative float residual for the report
         _, rel, sratio = _lstsq_stats(
-            _float_rows(rows), np.array([float(v) for v in rhs]), scale_hint
+            np.array(rows, dtype=float), np.array(rhs, dtype=float), scale_hint
         )
         return FeasibilityResult(
             "infeasible", rel, None, "exact", sigma_ratio=sratio,
             detail={"certificate": "exact-rank", "rank": rank_m, "rank_augmented": rank_m + 1},
         )
-    Mf = _float_rows(rows)
-    bf = np.array([float(v) for v in rhs], dtype=float)
+    Mf = np.array(rows, dtype=float)
+    bf = np.array(rhs, dtype=float)
     if not np.linalg.norm(bf):
         return FeasibilityResult("feasible", 0.0, tuple([0.0] * ncols), "float")
     z, rel, sratio = _lstsq_stats(Mf, bf, scale_hint)
@@ -245,15 +273,13 @@ def _norm_hint(L: CompactLieAlgebra, x) -> float:
     return float(L.inner_product([float(v) for v in x], [float(v) for v in x])) ** 0.5
 
 
-def _geodesic_system(
-    L: CompactLieAlgebra, ax, X, generators, pair, tolerances
-) -> FeasibilityResult:
-    """Solve sum_j z_j pair([A X, w_j]) = -pair([A X, X]) over the generators
-    w_j, given ax = A X."""
-    cols = [pair(L.bracket(ax, w)) for w in generators]
-    rhs = [-v for v in pair(L.bracket(ax, X))]
-    rows = [[c[i] for c in cols] for i in range(len(rhs))]
-    return solve_linear_feasibility(rows, rhs, tolerances, scale_hint=_norm_hint(L, X))
+def _geodesic_system(system: BracketSystem, ax, X, tolerances) -> FeasibilityResult:
+    """Solve sum_j z_j pair([A X, w_j]) = -pair([A X, X]) over the compiled
+    system's generators w_j, given ax = A X."""
+    rows, rhs = system.equations(ax, X)
+    return solve_linear_feasibility(
+        rows, rhs, tolerances, scale_hint=_norm_hint(system.algebra, X)
+    )
 
 
 def go_feasible_reduced(
@@ -271,21 +297,15 @@ def go_feasible_reduced(
     metric, space and generator (memo ``metric.skew_generators``).  X and
     A X must lie in the complement, which is checked for exact input.
     """
-    L = space.algebra
-    m = space.complement
-    if ela.all_exact(X) and not m.contains(X):
+    if ela.all_exact(X) and not space.in_complement(X):
         raise ValueError("X must lie in the complement")
     ax = metric.apply(X)
-    if ela.all_exact(ax) and not m.contains(ax):
+    if ela.all_exact(ax) and not space.in_complement(ax):
         raise ValueError("A X must lie in the complement")
-    gens = list(space.isotropy.basis)
     if extra is not None:
         for u in extra.basis:
             _validate_skew_generator(space, metric, u)
-            gens.append(u)
-    return _geodesic_system(
-        L, ax, X, gens, lambda v: [L.inner_product(v, y) for y in m.basis], tolerances
-    )
+    return _geodesic_system(space.geodesic_system(extra), ax, X, tolerances)
 
 
 def go_feasible_direct(
@@ -340,11 +360,7 @@ def go_feasible_normal_transitive(
     """
     if space.isotropy.dim == 0:
         raise ValueError("the normal-transitive formulation needs a nonzero isotropy")
-    L = space.algebra
-    gens, perp = space._normal_transitive_bases
-    return _geodesic_system(
-        L, metric.apply(X), X, gens, lambda v: [L.inner_product(v, u) for u in perp], tolerances
-    )
+    return _geodesic_system(space.normal_transitive_system, metric.apply(X), X, tolerances)
 
 
 def lie_group_go_check(
@@ -363,7 +379,7 @@ def lie_group_go_check(
     isometry group.
     """
     kernel = max_right_isometry_algebra(L, metric)
-    return _geodesic_system(L, metric.apply(X), X, kernel.basis, list, tolerances)
+    return _geodesic_system(kernel.bracket_system, metric.apply(X), X, tolerances)
 
 
 def sample_tangent_vectors(
@@ -391,7 +407,9 @@ def sample_tangent_vectors(
                 c = int(rng.integers(-9, 10))
                 if c:
                     nonzero = True
-                    v = [x + Q(c) * y for x, y in zip(v, b)]
+                    for i, y in enumerate(b):
+                        if y:
+                            v[i] = v[i] + c * y
             if not nonzero:
                 v = [x + y for x, y in zip(v, amb.basis[0])]
         else:

@@ -33,12 +33,10 @@ import numpy as np
 
 from . import exactlinalg as ela
 from . import rootsys
-from .scalars import (
-    exact_div,
-    exact_sqrt,
-    is_exact,
-    squarefree_decompose,
-)
+from .scalars import exact_div, exact_sqrt, squarefree_decompose
+
+
+_ZERO = Q(0)
 
 
 def _fzero(x) -> bool:
@@ -323,8 +321,6 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v) -> bool:
-        if not all(is_exact(x) for x in v):
-            return ela.in_span([list(b) for b in self.basis], list(v))
         # the basis is orthogonal, so membership is a zero projection residual
         res = [x - p for x, p in zip(v, self.project(v))]
         return ela.vec_is_zero(res)
@@ -372,6 +368,12 @@ class Subspace:
         return Subspace.from_vectors(self.parent, vecs, label=label)
 
     @cached_property
+    def bracket_system(self) -> "BracketSystem":
+        """The system with this basis as generators and coordinates as
+        the pairing, compiled on first use (the group case of ``gocheck``)."""
+        return BracketSystem(self.parent, self.basis)
+
+    @cached_property
     def onb_np(self) -> np.ndarray:
         """Columns form a float basis orthonormal w.r.t. the inner product."""
         if self.dim == 0:
@@ -383,6 +385,91 @@ class Subspace:
     def __repr__(self):
         lab = self.label or "subspace"
         return f"Subspace({lab}, dim={self.dim})"
+
+
+class BracketSystem:
+    """The linear system sum_j z_j pair([u, w_j]) = -pair([u, x]) in z,
+    compiled once for fixed generators w_j and a pairing: pair(v) lists
+    <v, y_i> over a pairing basis y, or the coordinates of v without one.
+
+    The sparse exact tensors S[a, b] = pair([e_a, e_b]) for a < b and
+    G[a] = pair([e_a, w_j]) (entry (i, j)) are read off the structure
+    constants, so that for given u and x
+
+        M = sum_a u_a G[a],   rhs = -sum_{a<b} (u_a x_b - u_b x_a) S[a, b]
+
+    with no bracket or inner product.  Float input takes one numpy
+    contraction over float copies of the same tensors.
+    """
+
+    def __init__(self, L: CompactLieAlgebra, generators, pairing=None):
+        self.algebra = L
+        self.shape = (L.dim if pairing is None else len(pairing), len(generators))
+        if pairing is None:
+            S = dict(L._sparse)
+        else:
+            forms = [L.lower(y) for y in pairing]
+            S = {}
+            for key, ent in L._sparse.items():
+                col = [
+                    (i, v)
+                    for i, f in enumerate(forms)
+                    if (v := sum((c * f[k] for k, c in ent if f[k]), _ZERO))
+                ]
+                if col:
+                    S[key] = col
+        G = []
+        for a in range(L.dim):
+            acc = {}
+            for j, w in enumerate(generators):
+                for b, wb in enumerate(w):
+                    if not wb or a == b:
+                        continue
+                    sign = wb if a < b else -wb
+                    for i, v in S.get((min(a, b), max(a, b)), ()):
+                        acc[i, j] = acc.get((i, j), 0) + sign * v
+            G.append([(i, j, v) for (i, j), v in acc.items() if v])
+        self.pair_brackets = S
+        self.generator_brackets = G
+
+    @cached_property
+    def _float_tensors(self):
+        n = self.algebra.dim
+        rows, cols = self.shape
+        G = np.zeros((n, rows, cols))
+        for a, entries in enumerate(self.generator_brackets):
+            for i, j, v in entries:
+                G[a, i, j] = float(v)
+        S = np.zeros((n, n, rows))
+        for (a, b), entries in self.pair_brackets.items():
+            for i, v in entries:
+                S[a, b, i] = float(v)
+                S[b, a, i] = -float(v)
+        return G, S
+
+    def equations(self, u, x):
+        """(M, rhs) of the system for u and x: exact lists when both are
+        exact, numpy arrays otherwise."""
+        if not (ela.all_exact(u) and ela.all_exact(x)):
+            G, S = self._float_tensors
+            uf = np.array([float(v) for v in u])
+            xf = np.array([float(v) for v in x])
+            return np.tensordot(uf, G, 1), -(xf @ np.tensordot(uf, S, 1))
+        rows, cols = self.shape
+        M = [[_ZERO] * cols for _ in range(rows)]
+        for c, entries in zip(u, self.generator_brackets):
+            if c:
+                for i, j, g in entries:
+                    M[i][j] = M[i][j] + c * g
+        rhs = [_ZERO] * rows
+        for (a, b), entries in self.pair_brackets.items():
+            ua, xb, ub, xa = u[a], x[b], u[b], x[a]
+            if (ua and xb) or (ub and xa):
+                f = ua * xb - ub * xa
+                if f:
+                    for i, s in entries:
+                        rhs[i] = rhs[i] - f * s
+        return M, rhs
 
 
 # -- module-level operations (spec names) --------------------------------

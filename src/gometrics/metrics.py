@@ -13,8 +13,10 @@ the right-isometry kernel {W : [ad W, A] = 0} of every coefficient
 partition seen so far (``right_isometry_kernels``, keyed by
 ``partition_key``, which records only which coefficients are equal),
 the exact bracket coordinates in the frame of block bases
-(``frame_brackets``), and the Ricci tensor compiled from them as a
-Laurent polynomial in the coefficients (``ricci_polynomial``).
+(``frame_brackets``), the Ricci tensor compiled from them as a
+Laurent polynomial in the coefficients (``ricci_polynomial``), and the
+exact projection onto each block (``block_projections``), from which an
+exact metric builds its sparse matrix once (``exact_matrix``).
 Metrics with the same partition share one kernel Subspace; a
 decomposition has at most Bell(len(blocks)) partitions.  For exact
 metrics, ``detect_naturally_reductive`` reads adaptedness of a
@@ -36,6 +38,9 @@ import numpy as np
 from . import exactlinalg as ela
 from .liealg import CompactLieAlgebra, Subspace, is_subalgebra, solution_space
 from .scalars import exact_div, is_exact
+
+
+_ZERO = Q(0)
 
 
 class MetricValidationError(ValueError):
@@ -158,6 +163,25 @@ class ModuleDecomposition:
         return out
 
     @cached_property
+    def block_projections(self) -> tuple:
+        """The orthogonal projection onto each block as exact sparse rows:
+        row r of block k lists (c, P_k[r][c]), P_k v = sum_b <v, b>/<b, b> b
+        over the block's basis."""
+        L = self.parent
+        out = []
+        for block in self.blocks:
+            rows = [defaultdict(int) for _ in range(L.dim)]
+            for b in block.basis:
+                nb = L.inner_product(b, b)
+                form = L.lower(b)
+                for r, br in enumerate(b):
+                    for c, fc in enumerate(form):
+                        if br and fc:
+                            rows[r][c] += exact_div(br * fc, nb)
+            out.append(tuple(tuple((c, v) for c, v in row.items() if v) for row in rows))
+        return tuple(out)
+
+    @cached_property
     def bracket_reach(self) -> dict:
         """For each pair i <= j of block indices, in order, the set of
         indices of the blocks that [block i, block j] has a component in,
@@ -246,12 +270,19 @@ class MetricEndomorphism:
     def apply(self, v):
         """A(v) for v in the ambient span, exact when everything is exact."""
         if self.is_exact and ela.all_exact(v):
-            out = [Q(0)] * self.parent.dim
-            for a, block in zip(self.coefficients, self.decomposition.blocks):
-                p = block.project(v)
-                out = [x + a * y for x, y in zip(out, p)]
-            return out
+            return [sum((a * v[c] for c, a in row if v[c]), _ZERO) for row in self.exact_matrix]
         return list(self.matrix_np @ np.asarray([float(x) for x in v]))
+
+    @cached_property
+    def exact_matrix(self) -> tuple:
+        """A = sum_k a_k P_k as exact sparse rows, from the decomposition's
+        ``block_projections``; read by ``apply`` for exact coefficients."""
+        acc = [defaultdict(int) for _ in range(self.parent.dim)]
+        for a, proj in zip(self.coefficients, self.decomposition.block_projections):
+            for r, row in enumerate(proj):
+                for c, p in row:
+                    acc[r][c] += a * p
+        return tuple(tuple((c, x) for c, x in row.items() if x) for row in acc)
 
     @cached_property
     def skew_generators(self) -> set:

@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 import pytest
 
 from gometrics import exactlinalg as ela
-from gometrics.cli import build_target
+from gometrics.cli import build_target, main
 from gometrics.gocheck import (
     FeasibilityResult,
     SpaceValidationError,
@@ -22,7 +22,7 @@ from gometrics.gocheck import (
     go_feasible_reduced,
     solve_linear_feasibility,
 )
-from gometrics.liealg import Subspace, build_su2, is_subalgebra
+from gometrics.liealg import CompactLieAlgebra, Subspace, build_su2, is_subalgebra
 from gometrics.metrics import (
     MetricValidationError,
     ModuleDecomposition,
@@ -190,30 +190,47 @@ def test_kernel_rejects_a_metric_of_another_algebra():
     assert max_right_isometry_algebra(other, metric).dim == 1
 
 
-def test_extra_generators_are_validated_once_per_metric():
+def _count_calls(monkeypatch, *sites) -> dict:
+    calls = {}
+    for owner, name in sites:
+        orig = getattr(owner, name)
+        calls[name] = 0
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_extra_generators_are_validated_once_per_metric(monkeypatch):
     aw = aloff_wallach(2, 1)
     L = aw.algebra
     axis = Subspace.from_indices(L, (1,), label="axis")
     metric = aw_metric(aw, Q(1), Q(2), Q(3), Q(1))
     x = [Q(0)] + [Q(1)] * (L.dim - 1)
     x = aw.space.complement.project(x)
-    calls = []
-    bracket = L.bracket
-
-    def counted(u, v):
-        calls.append(1)
-        return bracket(u, v)
-
     first = go_feasible_reduced(aw.space, metric, x, extra=axis)
     assert (aw.space, tuple(axis.basis[0])) in metric.skew_generators
-    L.bracket = counted
-    try:
-        again = go_feasible_reduced(aw.space, metric, x, extra=axis)
-    finally:
-        del L.bracket
+    calls = _count_calls(monkeypatch, (CompactLieAlgebra, "bracket"), (Subspace, "project"))
+    again = go_feasible_reduced(aw.space, metric, x, extra=axis)
     assert again == first
-    # one bracket per generator column plus one for the right-hand side
-    assert len(calls) == aw.space.isotropy.dim + axis.dim + 1
+    # the reduced system is compiled on the space and A is a matrix of
+    # the metric, so a repeated direction brackets and projects nothing
+    assert calls == {"bracket": 0, "project": 0}
+
+
+def test_exact_go_check_brackets_do_not_grow_with_directions(monkeypatch):
+    args = ["go-check", "--space", "aw:2,1", "--metric", "1,2,3,1", "--samples"]
+    main(args + ["1"])  # builds W[2,1] and compiles its system
+    counts = []
+    for samples in ("12", "24"):
+        calls = _count_calls(monkeypatch, (CompactLieAlgebra, "bracket"))
+        assert main(args + [samples]) == 3
+        counts.append(calls["bracket"])
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
 
 
 def test_bad_extra_generator_raises_on_every_first_direction():

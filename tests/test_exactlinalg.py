@@ -2,6 +2,7 @@
 
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +77,20 @@ def test_int_rows_never_contaminate_with_floats():
     sol, rank = ela.solve(m, [0, q, 0])
     assert sol is not None and rank == 3
     assert all(not isinstance(x, float) for x in sol)
+
+
+def test_eliminations_refuse_float_entries():
+    # exact zero tests on rounded floats decide nothing
+    m = [[Q(1), 0.1], [Q(2), Q(3)]]
+    for call in (
+        lambda: ela.rref(m),
+        lambda: ela.rank(m),
+        lambda: ela.nullspace(m),
+        lambda: ela.solve([[Q(1), Q(2)]], [0.5]),
+        lambda: ela.in_span([[1, 0.0]], [Q(1), Q(0)]),
+    ):
+        with pytest.raises(TypeError, match="float"):
+            call()
 
 
 def test_rref_over_quadratic_field():

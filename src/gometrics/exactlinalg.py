@@ -182,9 +182,7 @@ def dot(u, v):
 
 
 def in_span(vectors, v) -> bool:
-    """Exact membership of v in span(vectors)."""
-    if not vectors:
-        return all(_is_zero(x) for x in v)
+    """Exact membership of v in span(vectors); an empty set spans {0}."""
     cols = [[vec[i] for vec in vectors] for i in range(len(v))]
     return solve(cols, list(v))[0] is not None
 

@@ -292,10 +292,10 @@ def go_feasible_reduced(
     """Geodesic system for X with compensators from isotropy plus extra.
 
     Extra generators must act on the complement by metric-skew
-    operators, which holds exactly when their adjoint action preserves
-    the complement and commutes with A there; this is validated once per
-    metric, space and generator (memo ``metric.skew_generators``).  X and
-    A X must lie in the complement, which is checked for exact input.
+    operators, exactly for float coefficients too; this is validated
+    once per metric, space and generator (``_validate_skew_generator``,
+    memo ``metric.skew_generators``).  X and A X must lie in the
+    complement, which is checked for exact input.
     """
     if ela.all_exact(X) and not space.in_complement(X):
         raise ValueError("X must lie in the complement")
@@ -319,27 +319,22 @@ def go_feasible_direct(
 
 
 def _validate_skew_generator(space: ReductiveSpace, metric: MetricEndomorphism, u) -> None:
+    """Raise unless ad(u) acts on the complement by a metric-skew operator.
+
+    ad(u) is skew for <., .>, so it is skew for <A ., .> exactly when it
+    commutes with A and preserves the complement.  The metric's blocks
+    span the complement, so the first condition is u in the metric's
+    ``commutation_kernel``, which is exact for float coefficients too;
+    it is tested first, so a generator failing both is not metric-skew.
+    """
     key = (space, tuple(u))
     if key in metric.skew_generators:
         return
-    L = space.algebra
-    m = space.complement
-    exact = metric.is_exact and ela.all_exact(u)
-    for y in m.basis:
-        img = L.bracket(u, y)
-        # an exact image inside the complement is its own projection
-        if not ela.all_exact(img):
-            img = m.project(img)
-        elif not m.contains(img):
-            raise SpaceValidationError("extra generator does not preserve the complement")
-        lhs = m.project(L.bracket(u, metric.apply(y)))
-        rhs = metric.apply(img)
-        diff = [a - b for a, b in zip(lhs, rhs)]
-        if exact:
-            if not ela.vec_is_zero(diff):
-                raise SpaceValidationError("extra generator is not metric-skew")
-        elif max(abs(float(t)) for t in diff) > 1e-10:
-            raise SpaceValidationError("extra generator is not metric-skew")
+    if not metric.decomposition.commutation_kernel(metric.coefficients).contains(u):
+        raise SpaceValidationError("extra generator is not metric-skew")
+    bracket = space.algebra.bracket
+    if not all(space.in_complement(bracket(u, y)) for y in space.complement.basis):
+        raise SpaceValidationError("extra generator does not preserve the complement")
     metric.skew_generators.add(key)
 
 

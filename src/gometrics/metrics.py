@@ -8,20 +8,20 @@ orthogonal module decomposition.
 Facts that depend only on the decomposition are computed lazily, once
 per ``ModuleDecomposition``: the blocks that the bracket of each pair
 of blocks reaches (``bracket_reach``), the block sums that are
-subalgebras, read off those (``block_sum_indices``, ``block_sums``), and
-the right-isometry kernel {W : [ad W, A] = 0} of every coefficient
-partition seen so far (``right_isometry_kernels``, keyed by
-``partition_key``, which records only which coefficients are equal),
+subalgebras, read off those (``block_sum_indices``, ``block_sums``),
 the exact bracket coordinates in the frame of block bases
 (``frame_brackets``), the Ricci tensor compiled from them as a
-Laurent polynomial in the coefficients (``ricci_polynomial``), and the
+Laurent polynomial in the coefficients (``ricci_polynomial``), the
 exact projection onto each block (``block_projections``), from which an
-exact metric builds its sparse matrix once (``exact_matrix``).
-Metrics with the same partition share one kernel Subspace; a
-decomposition has at most Bell(len(blocks)) partitions.  For exact
-metrics, ``detect_naturally_reductive`` reads adaptedness of a
-candidate h off that kernel: on g, A commutes with ad(W) exactly when W
-is in it.
+exact metric builds its sparse matrix once (``exact_matrix``), and the
+commutation kernel of each coefficient partition (``commutation_kernel``,
+keyed by ``partition_key``).  The kernel depends only on which
+coefficients are equal, so it is exact for float metrics too: a float
+counts as the value it holds.  The right-isometry algebra, adaptedness
+(``is_adapted``, hence ``detect_naturally_reductive``) and
+metric-skewness of an extra generator in ``gocheck`` are all read off
+it, with no tolerance; a decomposition has at most Bell(len(blocks))
+partitions.
 """
 
 from __future__ import annotations
@@ -85,9 +85,38 @@ class ModuleDecomposition:
 
     @cached_property
     def right_isometry_kernels(self) -> dict:
-        """Right-isometry kernels by coefficient partition, filled by
-        ``max_right_isometry_algebra``."""
+        """Commutation kernels by ``partition_key``, filled by
+        ``commutation_kernel``."""
         return {}
+
+    def commutation_kernel(self, coefficients) -> Subspace:
+        """{W in g : A commutes with ad(W) compressed to the ambient span},
+        for A with these coefficients; computed once per partition.
+
+        For u in a block with coefficient a, A proj[W, u] - proj[W, A u]
+        is the sum of (a_k - a) times the component of [W, u] in block k,
+        so it vanishes exactly when <[W, u], w> = <W, [u, w]> = 0 for every
+        w in a block with another coefficient.  Those rows, over u and w
+        in different partition classes, cut out the kernel; the rows of a
+        pair (w, u) are those of (u, w) negated, so one order suffices.
+        When the blocks span g the kernel is the right-isometry algebra.
+        """
+        key = partition_key(coefficients)
+        if key not in self.right_isometry_kernels:
+            L = self.parent
+            classes: dict = {}
+            for k, block in zip(key, self.blocks):
+                classes.setdefault(k, []).extend(block.basis)
+            rows = [
+                L.lower(L.bracket(u, w))
+                for ca, cb in itertools.combinations(classes.values(), 2)
+                for u in ca
+                for w in cb
+            ]
+            sub = solution_space(L, rows, label="max-right-isometry")
+            assert self.dim < L.dim or is_subalgebra(L, sub)
+            self.right_isometry_kernels[key] = sub
+        return self.right_isometry_kernels[key]
 
     @cached_property
     def frame_brackets(self) -> tuple:
@@ -300,23 +329,6 @@ class MetricEndomorphism:
             out += float(a) * proj
         return out
 
-    def eigenspaces(self):
-        """Merged blocks per distinct coefficient, as {coefficient: Subspace}.
-
-        Coefficients are compared exactly, so float metrics merge only on
-        bit-identical values.
-        """
-        groups: dict = {}
-        for a, block in zip(self.coefficients, self.decomposition.blocks):
-            groups.setdefault(a, []).append(block)
-        out = {}
-        for a, blocks in groups.items():
-            s = blocks[0]
-            for b in blocks[1:]:
-                s = s.sum(b)
-            out[a] = s
-        return out
-
     def scaled(self, factor) -> "MetricEndomorphism":
         return MetricEndomorphism(
             decomposition=self.decomposition,
@@ -335,29 +347,19 @@ def is_adapted(metric: MetricEndomorphism, sub: Subspace) -> bool:
 
     Both sides are composed with the orthogonal projection back onto the
     ambient span, so the test also makes sense when ad(W) leaks outside
-    of it.  Exact metrics are tested exactly; float metrics against 1e-12.
+    of it.  That holds exactly when sub lies in the decomposition's
+    ``commutation_kernel`` for the metric's partition, for exact and
+    float coefficients alike.
     """
-    L = metric.parent
-    amb = metric.decomposition.ambient
-    exact = metric.is_exact
-    for W in sub.basis:
-        for block in metric.decomposition.blocks:
-            for b in block.basis:
-                lhs = amb.project(L.bracket(W, metric.apply(b)))
-                rhs = metric.apply(amb.project(L.bracket(W, b)))
-                diff = [x - y for x, y in zip(lhs, rhs)]
-                if exact:
-                    if not ela.vec_is_zero(diff):
-                        return False
-                else:
-                    if max(abs(float(x)) for x in diff) > 1e-12:
-                        return False
-    return True
+    kernel = metric.decomposition.commutation_kernel(metric.coefficients)
+    return kernel.contains_subspace(sub)
 
 
 def partition_key(coefficients) -> tuple:
     """Which coefficients are equal: the index of each one's first
-    occurrence, so (2, 1, 1) and (5, 3, 3) both give (0, 1, 1)."""
+    occurrence, so (2, 1, 1) and (5, 3, 3) both give (0, 1, 1).  A float
+    counts as the value it holds, so 3.0 equals 3 and floats merge only
+    on equal values."""
     first: dict = {}
     return tuple(first.setdefault(a, i) for i, a in enumerate(coefficients))
 
@@ -369,33 +371,16 @@ def max_right_isometry_algebra(L: CompactLieAlgebra, metric: MetricEndomorphism)
     candidate on the right: W is in the result iff [ad W, A] = 0 on g.
     Since [ad W, A] = 0 is equivalent to ad(W) preserving every
     eigenspace of A, only the partition of blocks by coefficient
-    equality enters, and the kernel is computed exactly even when the
-    coefficient values themselves are floats (floats are merged only on
-    bit-identical values).  So the result is computed once per partition
-    and kept in ``metric.decomposition.right_isometry_kernels``; metrics
-    with the same partition share the same Subspace.
+    equality enters, and the kernel is exact even when the coefficient
+    values themselves are floats.  It is the decomposition's
+    ``commutation_kernel``, so metrics with the same partition share the
+    same Subspace.
     """
     if L is not metric.parent:
         raise MetricValidationError("metric belongs to a different algebra")
-    dec = metric.decomposition
-    if dec.dim != L.dim:
+    if metric.decomposition.dim != L.dim:
         raise MetricValidationError("metric must cover the whole algebra")
-    key = partition_key(metric.coefficients)
-    if key not in dec.right_isometry_kernels:
-        eig = list(metric.eigenspaces().values())
-        # the components of [e_i, u] off u's eigenspace must vanish, and
-        # <[e_i, u], w> = <e_i, [u, w]> by ad-invariance; the rows of a pair
-        # (eb, ea) are those of (ea, eb) negated, so one order suffices
-        rows = [
-            L.lower(L.bracket(u, w))
-            for ea, eb in itertools.combinations(eig, 2)
-            for u in ea.basis
-            for w in eb.basis
-        ]
-        sub = solution_space(L, rows, label="max-right-isometry")
-        assert is_subalgebra(L, sub)
-        dec.right_isometry_kernels[key] = sub
-    return dec.right_isometry_kernels[key]
+    return metric.decomposition.commutation_kernel(metric.coefficients)
 
 
 @dataclass(frozen=True)
@@ -429,11 +414,12 @@ def detect_naturally_reductive(
     visited in descending dimension.  The blocks are orthogonal and span
     g, so A preserves every block sum h and the complement of h is the
     sum of the blocks outside it: h passes the first two conditions
-    exactly when the blocks outside it share one coefficient x (for float
-    metrics, within 1e-10 relative to the first of them), and its ideal
-    coefficients are the coefficients of the blocks in it, one per basis
-    vector.  The third condition is read off the right-isometry kernel
-    for exact metrics and tested by ``is_adapted`` for float ones.
+    exactly when the blocks outside it form one partition class, with
+    coefficient x, and its ideal coefficients are the coefficients of the
+    blocks in it, one per basis vector.  The third condition is
+    ``is_adapted``: on g, A commutes with ad(W) exactly when W is in the
+    commutation kernel.  Float coefficients are compared as the values
+    they hold, like exact ones, so rescaling a metric keeps the verdict.
 
     A negative answer means no block sum certifies, not a proof that no
     subalgebra does.  When every coefficient is distinct the block sums
@@ -444,28 +430,15 @@ def detect_naturally_reductive(
     if dec.dim != L.dim:
         raise MetricValidationError("metric must cover the whole algebra")
     coeffs = metric.coefficients
-    exact = metric.is_exact
     sums = subalgebra_block_sums(dec)
     for checked, (held, h) in enumerate(zip(dec.block_sum_indices, sums), start=1):
-        outside = [a for i, a in enumerate(coeffs) if i not in held]
-        x = outside[0] if outside else None  # None: h is everything
-        if exact:
-            if any(a != x for a in outside):
-                continue
-            # ad(h)-invariance of A: on g, exactly h inside the kernel
-            if not max_right_isometry_algebra(L, metric).contains_subspace(h):
-                continue
-        else:
-            if any(abs(float(a) - float(x)) > 1e-10 * max(1.0, abs(float(x))) for a in outside):
-                continue
-            # the 1e-12 test accepts near-equal coefficients that the exact
-            # partition of the kernel would split
-            if not is_adapted(metric, h):
-                continue
+        outside = {a for i, a in enumerate(coeffs) if i not in held}
+        if len(outside) > 1 or not is_adapted(metric, h):
+            continue
         return NaturalReductivityResult(
             found=True,
             subalgebra=h,
-            transverse_coefficient=x,
+            transverse_coefficient=next(iter(outside), None),  # None: h is everything
             ideal_coefficients=tuple(coeffs[i] for i in held for _ in dec.blocks[i].basis),
             checked=checked,
         )

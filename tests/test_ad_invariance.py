@@ -57,14 +57,17 @@ def _solutions(L, rows):
 
 
 def reference_kernel(L, metric):
-    eig = list(metric.eigenspaces().values())
+    groups = {}
+    for a, block in zip(metric.coefficients, metric.decomposition.blocks):
+        groups.setdefault(a, []).extend(block.basis)
+    eig = list(groups.values())
     pairs = [
         (u, w)
         for a, ea in enumerate(eig)
         for b, eb in enumerate(eig)
         if a != b
-        for u in ea.basis
-        for w in eb.basis
+        for u in ea
+        for w in eb
     ]
     return _solutions(L, _bracket_rows(L, pairs))
 

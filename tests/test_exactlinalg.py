@@ -88,6 +88,7 @@ def test_eliminations_refuse_float_entries():
         lambda: ela.nullspace(m),
         lambda: ela.solve([[Q(1), Q(2)]], [0.5]),
         lambda: ela.in_span([[1, 0.0]], [Q(1), Q(0)]),
+        lambda: ela.in_span([], [0.0]),  # the span of no vectors is {0}
     ):
         with pytest.raises(TypeError, match="float"):
             call()

@@ -73,17 +73,6 @@ def test_apply_exact_and_float_agree():
     assert np.abs(np.array([float(x) for x in exact]) - fl).max() < 1e-12
 
 
-def test_coefficient_of_and_eigenspaces():
-    alg, dec = su3_blocks()
-    m = make_metric(dec, (Q(2), Q(1), Q(1), Q(3), Q(3)))
-    eig = m.eigenspaces()
-    assert sorted((float(a), s.dim) for a, s in eig.items()) == [
-        (1.0, 3),
-        (2.0, 1),
-        (3.0, 4),
-    ]
-
-
 def test_scaled_preserves_structure():
     alg, dec = su2_axes()
     m = make_metric(dec, (Q(1), Q(2), Q(3)))

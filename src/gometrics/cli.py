@@ -19,7 +19,8 @@ Each space or group is built and validated once per process (W[k,l] and
 the G2 blocks in ``spaces``, the su(3) and su(2) group targets here);
 a command builds only its metric.  So a command reuses what earlier
 commands in the same process built, kernel caches included, and writes
-the same bytes as in a fresh process.
+the same bytes as in a fresh process.  The argument parser is built
+once per process as well; every call parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -440,6 +441,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gometrics",

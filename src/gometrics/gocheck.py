@@ -10,8 +10,12 @@ That is a linear system M z = b in Z, so feasibility is decided by
 linear algebra: exactly when the inputs are exact, by one elimination of
 [M | b] over Q(sqrt(D)) that yields a witness or, for an inconsistent
 system, rank M and rank [M | b] = rank M + 1; numerically (least squares
-plus singular-value analysis) otherwise, with an arbitrary-precision
-retry in the ambiguous band.
+plus singular-value analysis) otherwise.  A float residual between the
+thresholds is indeterminate; only an ill-conditioned system there is
+retried in arbitrary precision (mpmath, imported for that retry alone).
+SVD least squares is backward stable, so on a well-conditioned system a
+retry on the same float64-rounded input reproduces the float residual
+and could change no decision.
 
 All four formulations share one builder, ``_geodesic_system``: for
 generators w_j it solves sum_j z_j p([A X, w_j]) = -p([A X, X]) for a
@@ -46,7 +50,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 
-import mpmath as mp
 import numpy as np
 
 from . import exactlinalg as ela
@@ -60,7 +63,8 @@ class SpaceValidationError(ValueError):
 
 
 # smallest kept singular value over the largest below which a float
-# infeasibility is not trusted, and the digits of the mpmath retry
+# residual is not trusted, and the digits of the mpmath retry that such
+# an untrusted system in the gap gets
 SIGMA_RATIO = 1e-6
 ESCALATE_DPS = 50
 
@@ -73,9 +77,10 @@ class Tolerances:
     squares solution is at most ``feasible_rel``; as infeasible when the
     relative residual is at least ``infeasible_rel`` and the singular
     value spectrum is trustworthy (smallest kept singular value at least
-    ``SIGMA_RATIO`` times the largest).  Anything between is retried at
-    ``ESCALATE_DPS`` decimal digits, and stays indeterminate if the
-    retry still lands in the gap.
+    ``SIGMA_RATIO`` times the largest).  Anything between is
+    indeterminate.  Only when the spectrum is not trustworthy is it first
+    retried at ``ESCALATE_DPS`` decimal digits, which can then find it
+    feasible but never infeasible.
     """
 
     feasible_rel: float = 1e-9
@@ -160,7 +165,8 @@ class FeasibilityResult:
     status: str  # "feasible" | "infeasible" | "indeterminate"
     residual_rel: float
     witness: tuple | None
-    method: str  # "exact" | "float" | "mpmath"
+    # "exact" | "float" | "mpmath" (the retry of an ill-conditioned system)
+    method: str
     sigma_ratio: float | None = None
     detail: dict = field(default_factory=dict)
 
@@ -194,6 +200,8 @@ def _lstsq_stats(Mf: np.ndarray, bf: np.ndarray, scale_hint: float = 0.0):
 
 def _mpmath_retry(Mf: np.ndarray, bf: np.ndarray, dps: int, scale_hint: float = 0.0):
     """Least squares through an SVD at dps digits; returns (z, rel)."""
+    import mpmath as mp
+
     with mp.workdps(dps):
         A = mp.matrix(Mf.tolist())
         b = mp.matrix([[v] for v in bf.tolist()])
@@ -225,7 +233,10 @@ def solve_linear_feasibility(
     threshold policy from ``tolerances``; scale_hint carries the natural
     magnitude of the unknowns (for the geodesic systems, the background
     norm of the sampled direction) so the relative residual is invariant
-    under scaling the direction or the metric.
+    under scaling the direction or the metric.  A residual above
+    ``feasible_rel`` on a trusted spectrum is decided in float64
+    (infeasible or indeterminate); only an untrusted spectrum goes to
+    the ``ESCALATE_DPS``-digit retry, which can only settle it feasible.
     """
     tol = tolerances or Tolerances()
     nrows = len(rows)
@@ -258,14 +269,14 @@ def solve_linear_feasibility(
     z, rel, sratio = _lstsq_stats(Mf, bf, scale_hint)
     if rel <= tol.feasible_rel:
         return FeasibilityResult("feasible", rel, tuple(float(v) for v in z), "float", sigma_ratio=sratio)
-    trusted = sratio is None or sratio >= SIGMA_RATIO
-    if rel >= tol.infeasible_rel and trusted:
-        return FeasibilityResult("infeasible", rel, None, "float", sigma_ratio=sratio)
+    if sratio is None or sratio >= SIGMA_RATIO:
+        # condition number at most 1/SIGMA_RATIO: a retry on the same
+        # rounded input would reproduce rel, so the float decides
+        status = "infeasible" if rel >= tol.infeasible_rel else "indeterminate"
+        return FeasibilityResult(status, rel, None, "float", sigma_ratio=sratio)
     z2, rel2 = _mpmath_retry(Mf, bf, ESCALATE_DPS, scale_hint)
     if rel2 <= tol.feasible_rel:
         return FeasibilityResult("feasible", rel2, tuple(z2), "mpmath", sigma_ratio=sratio)
-    if rel2 >= tol.infeasible_rel and trusted:
-        return FeasibilityResult("infeasible", rel2, None, "mpmath", sigma_ratio=sratio)
     return FeasibilityResult("indeterminate", rel2, None, "mpmath", sigma_ratio=sratio)
 
 

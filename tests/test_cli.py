@@ -275,3 +275,35 @@ def test_su3_target_needs_five_coefficients():
     assert bad.returncode == 2
     ok = run_cli("go-check", "--space", "lie:su3", "--metric", "12,12,12,12,12")
     assert ok.returncode == 0, ok.stderr
+
+
+# ------------------------------------------------------- process lifetime
+
+
+def test_cached_parser_carries_no_option_between_calls(monkeypatch, capsys):
+    for name in [k for k in os.environ if k.startswith("GOMETRICS_")]:
+        monkeypatch.delenv(name)
+    base = ["go-check", "--space", "lie:su2", "--metric", "1,1,2"]
+    runs = [["--mode", "float"], ["--format", "csv"], ["--samples", "3"], []]
+    assert cli.build_parser() is cli.build_parser()
+    warm = []
+    for flags in runs:
+        rc = cli.main(base + flags)
+        warm.append((rc, capsys.readouterr().out))
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    for flags, got in zip(runs, warm):
+        rc = cli.main(base + flags)
+        assert got == (rc, capsys.readouterr().out), flags
+
+
+def test_mpmath_is_not_imported_by_a_well_conditioned_decimal_go_check():
+    code = (
+        "import sys, gometrics.cli as cli\n"
+        "assert 'mpmath' not in sys.modules, 'import'\n"
+        "rc = cli.main(['go-check', '--space', 'lie:g2', '--metric', '1,1,1,1,1.0000001'])\n"
+        "assert rc == 4, rc\n"
+        "assert 'mpmath' not in sys.modules, 'go-check'\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GOMETRICS_")}
+    proc = subprocess.run([PY, "-c", code], capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Feasibility solver, reductive-space validation, and GO sweeps."""
 
 import json
+import os
 from fractions import Fraction as Q
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gometrics.cli as cli
 from gometrics import (
     ModuleDecomposition,
     ReductiveSpace,
@@ -27,7 +29,8 @@ from gometrics import (
     sample_tangent_vectors,
 )
 from gometrics import exactlinalg as ela
-from gometrics.gocheck import SpaceValidationError, solve_linear_feasibility
+from gometrics import gocheck
+from gometrics.gocheck import SIGMA_RATIO, SpaceValidationError, solve_linear_feasibility
 from gometrics.scalars import Quad
 
 SU2 = build_su2()
@@ -123,12 +126,58 @@ def test_solver_float_thresholds():
     assert bad.residual_rel >= 1e-3
 
 
-def test_solver_gap_escalates_to_mpmath_then_indeterminate():
-    # residual sits between the feasible and infeasible thresholds, so
-    # the high-precision retry runs and the verdict stays open.
+def test_solver_gap_on_trusted_spectrum_is_indeterminate_without_retry(monkeypatch):
+    # residual between the thresholds on a well-conditioned system: the
+    # float residual decides, and the high-precision retry never runs
+    def no_retry(*args, **kwargs):
+        raise AssertionError("mpmath retry on a trusted spectrum")
+
+    monkeypatch.setattr(gocheck, "_mpmath_retry", no_retry)
     res = solve_linear_feasibility([[1.0], [0.0]], [1.0, 1e-6])
-    assert res.status == "indeterminate"
-    assert res.method == "mpmath"
+    assert (res.status, res.method, res.witness) == ("indeterminate", "float", None)
+    assert res.sigma_ratio == 1.0
+    assert res.residual_rel == pytest.approx(1e-6, rel=1e-9)
+
+
+def test_solver_gap_on_ill_conditioned_spectrum_retries_in_mpmath():
+    res = solve_linear_feasibility([[1.0, 0.0], [0.0, 1e-7], [0.0, 0.0]], [1.0, 0.0, 1e-6])
+    assert res.sigma_ratio == pytest.approx(1e-7) and res.sigma_ratio < SIGMA_RATIO
+    assert (res.status, res.method, res.witness) == ("indeterminate", "mpmath", None)
+    assert res.residual_rel == pytest.approx(1e-6, rel=1e-9)
+
+
+# decimal metrics 1e-5 to 1e-7 away from a GO metric: every residual lands
+# between the thresholds on a well-conditioned system
+NEAR_BOUNDARY = (
+    ("aw:2,1", "1,1,1.00001,1"),
+    ("aw:5,2", "1.00001,1,1,2"),
+    ("lie:g2", "1,1,1,1,1.0000001"),
+)
+
+
+@pytest.mark.parametrize("space,metric", NEAR_BOUNDARY)
+def test_near_boundary_gap_is_decided_in_float_as_the_retry_would(space, metric, monkeypatch, capsys):
+    solved = []
+
+    def recording(rows, rhs, tolerances=None, scale_hint=0.0):
+        res = solve_linear_feasibility(rows, rhs, tolerances, scale_hint)
+        solved.append((rows, rhs, scale_hint, res))
+        return res
+
+    monkeypatch.setattr(gocheck, "solve_linear_feasibility", recording)
+    for name in [k for k in os.environ if k.startswith("GOMETRICS_")]:
+        monkeypatch.delenv(name)
+    rc = cli.main(["go-check", "--space", space, "--metric", metric])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 4 and doc["verdict"] == "indeterminate"
+    assert len(doc["checks"]) == len(solved) == 24
+    assert {(c["status"], c["method"]) for c in doc["checks"]} == {("indeterminate", "float")}
+    # the retry this float decision replaces reproduces its residual
+    for rows, rhs, scale_hint, res in solved:
+        _, rel = gocheck._mpmath_retry(
+            np.array(rows, dtype=float), np.array(rhs, dtype=float), gocheck.ESCALATE_DPS, scale_hint
+        )
+        assert abs(rel - res.residual_rel) <= 1e-10 * res.residual_rel
 
 
 def test_solver_zero_rhs_float_feasible():

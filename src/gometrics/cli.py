@@ -21,6 +21,8 @@ a command builds only its metric.  So a command reuses what earlier
 commands in the same process built, kernel caches included, and writes
 the same bytes as in a fresh process.  The argument parser is built
 once per process as well; every call parses into a fresh namespace.
+Each setting is its flag if given, else its ``GOMETRICS_<NAME>``
+override, read on every call, else its default.
 """
 
 from __future__ import annotations
@@ -46,9 +48,7 @@ from .metrics import (
 from .spaces import (
     aloff_wallach,
     aw_go_classify,
-    aw_metric,
     g2_decomposition,
-    g2_metric,
     reproduce_main_theorem,
 )
 
@@ -164,10 +164,23 @@ def _su2_group_target():
     return alg, ModuleDecomposition(parent=alg, blocks=blocks, name="su2 axes")
 
 
-def build_target(space_spec: str, coefficients):
-    """Resolve a space spec into (target, metric, n_expected).
+def _g2_group_target():
+    dec = g2_decomposition()
+    return dec.algebra, dec.blocks
 
-    Grammar: "aw:k,l" | "lie:g2" | "lie:su3" | "lie:su2".
+
+_GROUP_TARGETS = {
+    "g2": _g2_group_target,
+    "su3": _su3_group_target,
+    "su2": _su2_group_target,
+}
+
+
+def build_target(space_spec: str, coefficients):
+    """Resolve a space spec into (target, metric).
+
+    Grammar: "aw:k,l" | "lie:g2" | "lie:su3" | "lie:su2".  The metric
+    takes one coefficient per block of the target's decomposition.
     """
     kind, sep, rest = space_spec.partition(":")
     if not sep:
@@ -182,35 +195,19 @@ def build_target(space_spec: str, coefficients):
             aw = aloff_wallach(k, l)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        if len(coefficients) != 4:
-            raise UsageError(
-                f"{space_spec!r} needs 4 metric entries, got {len(coefficients)}"
-            )
-        return aw.space, aw_metric(aw, *coefficients)
-    if kind == "lie":
-        if rest == "g2":
-            dec = g2_decomposition()
-            if len(coefficients) != 5:
-                raise UsageError(
-                    f"{space_spec!r} needs 5 metric entries, got {len(coefficients)}"
-                )
-            return dec.algebra, g2_metric(*coefficients, decomposition=dec)
-        if rest == "su3":
-            alg, blocks = _su3_group_target()
-            if len(coefficients) != 5:
-                raise UsageError(
-                    f"{space_spec!r} needs 5 metric entries, got {len(coefficients)}"
-                )
-            return alg, make_metric(blocks, coefficients)
-        if rest == "su2":
-            alg, blocks = _su2_group_target()
-            if len(coefficients) != 3:
-                raise UsageError(
-                    f"{space_spec!r} needs 3 metric entries, got {len(coefficients)}"
-                )
-            return alg, make_metric(blocks, coefficients)
-        raise UsageError(f"unknown group {rest!r} in {space_spec!r}")
-    raise UsageError(f"unknown space kind {kind!r} in {space_spec!r}")
+        target, decomposition = aw.space, aw.blocks
+    elif kind == "lie":
+        if rest not in _GROUP_TARGETS:
+            raise UsageError(f"unknown group {rest!r} in {space_spec!r}")
+        target, decomposition = _GROUP_TARGETS[rest]()
+    else:
+        raise UsageError(f"unknown space kind {kind!r} in {space_spec!r}")
+    n_blocks = len(decomposition.blocks)
+    if len(coefficients) != n_blocks:
+        raise UsageError(
+            f"{space_spec!r} needs {n_blocks} metric entries, got {len(coefficients)}"
+        )
+    return target, make_metric(decomposition, coefficients)
 
 
 # -- output -----------------------------------------------------------------
@@ -218,10 +215,6 @@ def build_target(space_spec: str, coefficients):
 
 def render_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_line(*fields) -> str:
-    return ",".join(str(f) for f in fields)
 
 
 def emit(text: str, output_path: str | None) -> None:
@@ -244,6 +237,18 @@ def emit(text: str, output_path: str | None) -> None:
         raise
 
 
+def report(config: RunConfig, doc: dict, csv_rows, text_lines) -> None:
+    """Emit the report in config.format: doc as JSON, csv_rows (header
+    first) as comma-separated lines, or text_lines as they are."""
+    if config.format == "json":
+        text = render_json(doc)
+    elif config.format == "csv":
+        text = "\n".join(",".join(str(f) for f in row) for row in csv_rows) + "\n"
+    else:
+        text = "\n".join(text_lines) + "\n"
+    emit(text, config.output_path)
+
+
 # -- commands ---------------------------------------------------------------
 
 _ROOT_BUILDERS = {"a2": rootsys.build_a2, "g2": rootsys.build_g2}
@@ -252,30 +257,22 @@ _ROOT_BUILDERS = {"a2": rootsys.build_a2, "g2": rootsys.build_g2}
 def cmd_roots(args, config: RunConfig) -> int:
     builder = _ROOT_BUILDERS.get(args.system)
     if builder is None:
-        print(f"unknown root system {args.system!r}; choose a2 or g2", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown root system {args.system!r}; choose a2 or g2")
     rs = builder()
     classes = rootsys.enumerate_closed_symmetric_subsystems(rs)
     doc = rootsys.to_json_dict(rs)
-    doc["closed_symmetric_subsystem_classes"] = [
-        {"size": len(sub.roots), "roots": sorted(sub.label_set())} for sub in classes
+    doc["closed_symmetric_subsystem_classes"] = []
+    rows = [("class", "size", "roots")]
+    lines = [
+        f"{rs.name}: {len(rs.roots)} roots, rank {rs.rank}",
+        f"proper closed symmetric subsystems up to Weyl equivalence: {len(classes)}",
     ]
-    if config.format == "json":
-        emit(render_json(doc), config.output_path)
-    elif config.format == "csv":
-        lines = [_csv_line("class", "size", "roots")]
-        for i, sub in enumerate(classes):
-            lines.append(_csv_line(i, len(sub.roots), "|".join(sorted(sub.label_set()))))
-        emit("\n".join(lines) + "\n", config.output_path)
-    else:
-        lines = [f"{rs.name}: {len(rs.roots)} roots, rank {rs.rank}"]
-        lines.append(
-            f"proper closed symmetric subsystems up to Weyl equivalence: {len(classes)}"
-        )
-        for i, sub in enumerate(classes):
-            names = ", ".join(sorted(sub.label_set())) or "(empty)"
-            lines.append(f"  class {i}: size {len(sub.roots)}: {names}")
-        emit("\n".join(lines) + "\n", config.output_path)
+    for i, sub in enumerate(classes):
+        names = sorted(sub.label_set())
+        doc["closed_symmetric_subsystem_classes"].append({"size": len(sub.roots), "roots": names})
+        rows.append((i, len(sub.roots), "|".join(names)))
+        lines.append(f"  class {i}: size {len(sub.roots)}: {', '.join(names) or '(empty)'}")
+    report(config, doc, rows, lines)
     return EXIT_OK
 
 
@@ -309,31 +306,17 @@ def cmd_go_check(args, config: RunConfig) -> int:
         tolerances=config.tolerances,
     )
     doc = cert.to_json_dict()
-    if config.format == "json":
-        emit(render_json(doc), config.output_path)
-    elif config.format == "csv":
-        lines = [_csv_line("sample", "status", "residual_rel", "method")]
-        for i, entry in enumerate(doc["checks"]):
-            residual = entry["residual_rel"]
-            lines.append(
-                _csv_line(
-                    i,
-                    entry["status"],
-                    "" if residual is None else repr(residual),
-                    entry["method"],
-                )
-            )
-        emit("\n".join(lines) + "\n", config.output_path)
-    else:
-        lines = [
-            f"{doc['target']}: {doc['verdict']} "
-            f"({len(doc['checks'])} directions, seed {doc['seed']})"
-        ]
-        for i, entry in enumerate(doc["checks"]):
-            residual = entry["residual_rel"]
-            shown = "exact" if residual is None else f"{residual:.3e}"
-            lines.append(f"  sample {i}: {entry['status']} residual {shown}")
-        emit("\n".join(lines) + "\n", config.output_path)
+    rows = [("sample", "status", "residual_rel", "method")]
+    lines = [
+        f"{doc['target']}: {doc['verdict']} "
+        f"({len(doc['checks'])} directions, seed {doc['seed']})"
+    ]
+    for i, entry in enumerate(doc["checks"]):
+        residual = entry["residual_rel"]
+        rows.append((i, entry["status"], "" if residual is None else repr(residual), entry["method"]))
+        shown = "exact" if residual is None else f"{residual:.3e}"
+        lines.append(f"  sample {i}: {entry['status']} residual {shown}")
+    report(config, doc, rows, lines)
     return _VERDICT_EXITS[cert.verdict]
 
 
@@ -361,25 +344,18 @@ def cmd_reproduce(args, config: RunConfig) -> int:
     runners = {"aw-classification": _reproduce_aw, "g2-einstein": _reproduce_g2}
     runner = runners.get(args.target)
     if runner is None:
-        print(
+        raise UsageError(
             f"unknown reproduction target {args.target!r}; "
-            "choose aw-classification or g2-einstein",
-            file=sys.stderr,
+            "choose aw-classification or g2-einstein"
         )
-        return EXIT_USAGE
     doc, expectations = runner(config)
-    if config.format == "json":
-        emit(render_json(doc), config.output_path)
-    elif config.format == "csv":
-        lines = [_csv_line("check", "passed")]
-        for name, ok in expectations:
-            lines.append(_csv_line(name, str(ok).lower()))
-        emit("\n".join(lines) + "\n", config.output_path)
-    else:
-        lines = [f"{args.target}: {len(expectations)} checks"]
-        for name, ok in expectations:
-            lines.append(f"  {'PASS' if ok else 'FAIL'}  {name}")
-        emit("\n".join(lines) + "\n", config.output_path)
+    report(
+        config,
+        doc,
+        [("check", "passed")] + [(name, str(ok).lower()) for name, ok in expectations],
+        [f"{args.target}: {len(expectations)} checks"]
+        + [f"  {'PASS' if ok else 'FAIL'}  {name}" for name, ok in expectations],
+    )
     failing = [name for name, ok in expectations if not ok]
     if failing:
         for name in failing:
@@ -391,35 +367,10 @@ def cmd_reproduce(args, config: RunConfig) -> int:
 # -- argument plumbing ------------------------------------------------------
 
 
-def _env(name: str, fallback):
-    return os.environ.get("GOMETRICS_" + name, fallback)
-
-
-def _env_float(name: str, fallback: float) -> float:
-    raw = _env(name, None)
-    if raw is None:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise UsageError(f"GOMETRICS_{name} must be a number, got {raw!r}") from exc
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = _env(name, None)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"GOMETRICS_{name} must be an integer, got {raw!r}") from exc
-
-
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode",
         choices=("exact", "float"),
-        default=_env("MODE", None),
         help="arithmetic mode; default: exact for rational metrics, "
         "float when any entry is a decimal",
     )
@@ -476,25 +427,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _setting(args, name: str, default, parse=str):
+    """The flag if given, else GOMETRICS_<NAME> read now and parsed, else the default."""
+    flag = getattr(args, name)
+    if flag is not None:
+        return flag
+    var = "GOMETRICS_" + name.upper()
+    raw = os.environ.get(var)
+    if raw is None:
+        return default
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        kind = "an integer" if parse is int else "a number"
+        raise UsageError(f"{var} must be {kind}, got {raw!r}") from exc
+
+
 def make_config(args) -> RunConfig:
     return RunConfig(
-        mode=args.mode if args.mode is not None else "auto",
-        seed=args.seed if args.seed is not None else _env_int("SEED", 0),
-        tol_feas=(
-            args.tol_feas if args.tol_feas is not None else _env_float("TOL_FEAS", 1e-9)
-        ),
-        tol_infeas=(
-            args.tol_infeas
-            if args.tol_infeas is not None
-            else _env_float("TOL_INFEAS", 1e-3)
-        ),
-        tol_einstein=(
-            args.tol_einstein
-            if args.tol_einstein is not None
-            else _env_float("TOL_EINSTEIN", 1e-5)
-        ),
-        output_path=args.out if args.out is not None else _env("OUT", None),
-        format=args.format if args.format is not None else _env("FORMAT", "json"),
+        mode=_setting(args, "mode", "auto"),
+        seed=_setting(args, "seed", 0, int),
+        tol_feas=_setting(args, "tol_feas", 1e-9, float),
+        tol_infeas=_setting(args, "tol_infeas", 1e-3, float),
+        tol_einstein=_setting(args, "tol_einstein", 1e-5, float),
+        output_path=_setting(args, "out", None),
+        format=_setting(args, "format", "json"),
     )
 
 

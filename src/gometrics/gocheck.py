@@ -170,10 +170,6 @@ class FeasibilityResult:
     sigma_ratio: float | None = None
     detail: dict = field(default_factory=dict)
 
-    @property
-    def feasible(self) -> bool:
-        return self.status == "feasible"
-
 
 def _lstsq_stats(Mf: np.ndarray, bf: np.ndarray, scale_hint: float = 0.0):
     z, *_ = np.linalg.lstsq(Mf, bf, rcond=None)

@@ -202,13 +202,6 @@ class CompactLieAlgebra:
             return [d * x for d, x in zip(diag, v)]
         return ela.matvec(self.inner, v)
 
-    def killing_product(self, x, y):
-        K = self.killing
-        return sum(
-            (x[i] * K[i][j] * y[j] for i in range(self.dim) for j in range(self.dim)),
-            Q(0),
-        )
-
     @cached_property
     def center(self) -> "Subspace":
         full = Subspace.from_indices(self, range(self.dim), label="g")
@@ -733,9 +726,13 @@ def build_compact_from_rootsystem(
             field_d=field_d,
             validate=False,
         )
-        if not alg.jacobi_residual():
+        try:
             alg.validate()
-            return alg
+        except AlgebraValidationError:
+            if alg.jacobi_residual():
+                continue
+            raise
+        return alg
     raise AlgebraValidationError("no Chevalley sign assignment satisfies Jacobi")
 
 

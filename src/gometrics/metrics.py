@@ -329,12 +329,6 @@ class MetricEndomorphism:
             out += float(a) * proj
         return out
 
-    def scaled(self, factor) -> "MetricEndomorphism":
-        return MetricEndomorphism(
-            decomposition=self.decomposition,
-            coefficients=tuple(a * factor for a in self.coefficients),
-        )
-
 
 def make_metric(decomposition: ModuleDecomposition, coefficients) -> MetricEndomorphism:
     return MetricEndomorphism(

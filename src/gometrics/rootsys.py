@@ -71,10 +71,6 @@ class RootSubsystem:
     roots: frozenset
 
     @property
-    def symmetric(self) -> bool:
-        return all(_vec_neg(r) in self.roots for r in self.roots)
-
-    @property
     def closed(self) -> bool:
         for x, y in itertools.permutations(self.roots, 2):
             s = _vec_add(x, y)

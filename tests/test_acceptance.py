@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import gometrics.cli as cli
+from gometrics import exactlinalg as ela
 from gometrics import (
     EINSTEIN_SET_1,
     EINSTEIN_SET_2,
@@ -91,7 +92,7 @@ def test_criterion_02_killing_normalization():
     basis = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            b = su3.killing_product(basis[i], basis[j])
+            b = ela.dot(basis[i], ela.matvec(su3.killing, basis[j]))
             assert b == -12 * su3.inner_product(basis[i], basis[j])
 
 

@@ -40,7 +40,7 @@ def test_roots_known_systems_exit_zero():
 def test_roots_unknown_system_exits_2():
     proc = run_cli("roots", "e8")
     assert proc.returncode == 2
-    assert proc.stderr
+    assert proc.stderr == b"error: unknown root system 'e8'; choose a2 or g2\n"
 
 
 def test_go_check_go_metric_exits_0():
@@ -134,6 +134,33 @@ def test_coefficients_at_the_range_bounds_are_accepted_without_warning():
             ("go-check", "--space", "lie:g2", "--metric", "1,1,11/9,11/9,1", "--samples", "8"),
             "636e2f9ab0d269e89a5fd9c89e3e7f9f4121e33d8fba2e105bda0f3cdc7b7327",
         ),
+        (
+            ("roots", "g2", "--format", "csv"),
+            "8a66eb6cc57399279a185e209fecf23cca7fe30b593aff9b5e66ec7c9863d5ea",
+        ),
+        (
+            ("roots", "g2", "--format", "text"),
+            "28849a5ef9094e75882e5af45d707583e446d27dddbf61dd40b3f31c7c061ba1",
+        ),
+        # every residual of this sweep is an exact 0.0
+        (
+            ("go-check", "--space", "aw:2,1", "--metric", "1,1,1,2", "--samples", "4",
+             "--format", "csv"),
+            "e70c74ee64f9122bcfe4368cb50f97470efcc4e7e60d75e46e78305d733c036c",
+        ),
+        (
+            ("go-check", "--space", "aw:2,1", "--metric", "1,1,1,2", "--samples", "4",
+             "--format", "text"),
+            "e3b010a3cfe8f3f78a3c465ecbc3e778cf16667023fa20fec10a03b835abcfd8",
+        ),
+        (
+            ("reproduce", "aw-classification", "--format", "csv"),
+            "bd29f5351258badec0c72f486459a6915490faa4951688cf33b6bd98589fdbaf",
+        ),
+        (
+            ("reproduce", "aw-classification", "--format", "text"),
+            "7553ad0646a61695116a31c92b4e179cb88d25b423ac531ea900c03f94e98f0c",
+        ),
     ],
 )
 def test_exact_reports_keep_their_bytes(args, digest):
@@ -153,6 +180,7 @@ def test_decimal_metric_forces_float_mode():
 def test_reproduce_unknown_target_exits_2():
     proc = run_cli("reproduce", "something-else")
     assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: unknown reproduction target 'something-else'")
 
 
 def test_reproduce_aw_classification_exits_0():
@@ -294,6 +322,25 @@ def test_cached_parser_carries_no_option_between_calls(monkeypatch, capsys):
     for flags, got in zip(runs, warm):
         rc = cli.main(base + flags)
         assert got == (rc, capsys.readouterr().out), flags
+
+
+def test_env_overrides_are_read_on_every_call(monkeypatch, capsys):
+    for name in [k for k in os.environ if k.startswith("GOMETRICS_")]:
+        monkeypatch.delenv(name)
+    args = ["go-check", "--space", "lie:su2", "--metric", "1,1,2", "--samples", "2"]
+
+    def methods():
+        assert cli.main(args) == 0
+        return {c["method"] for c in json.loads(capsys.readouterr().out)["checks"]}
+
+    assert methods() == {"exact"}
+    monkeypatch.setenv("GOMETRICS_MODE", "float")
+    assert methods() == {"float"}
+    monkeypatch.setenv("GOMETRICS_FORMAT", "csv")
+    assert cli.main(args) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "sample,status,residual_rel,method"
+    assert [row.split(",")[3] for row in rows] == ["float", "float"]
 
 
 def test_mpmath_is_not_imported_by_a_well_conditioned_decimal_go_check():

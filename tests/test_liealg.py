@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from gometrics import exactlinalg as ela
 from gometrics import liealg
 from gometrics.liealg import (
     Subspace,
@@ -20,7 +21,7 @@ from gometrics.liealg import (
     module_product,
     normalizer,
 )
-from gometrics.rootsys import build_a2, build_g2
+from gometrics.rootsys import build_a1, build_a2, build_g2
 from gometrics.scalars import Quad
 
 
@@ -99,7 +100,7 @@ def test_su3_killing_is_minus_twelve_times_inner():
             ei[i] = Q(1)
             ej = [Q(0)] * n
             ej[j] = Q(1)
-            assert alg.killing_product(ei, ej) == -12 * alg.inner_product(ei, ej)
+            assert ela.dot(ei, ela.matvec(alg.killing, ej)) == -12 * alg.inner_product(ei, ej)
 
 
 def test_su3_exact_jacobi_and_invariance():
@@ -112,6 +113,22 @@ def test_su3_exact_jacobi_and_invariance():
 def test_su3_field_is_rational_for_equal_weights():
     assert build_su3(1, 1).field_d is None
     assert build_su3(2, 1).field_d == 21
+
+
+@pytest.mark.parametrize("build", [build_a1, build_a2, build_g2])
+def test_chevalley_build_checks_jacobi_once(build, monkeypatch):
+    # validate() checks Jacobi on the candidate signs; the build must not
+    # check the winning candidate a second time
+    calls = []
+    original = liealg.CompactLieAlgebra.jacobi_residual
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(liealg.CompactLieAlgebra, "jacobi_residual", counted)
+    alg = build_compact_from_rootsystem(build())
+    assert len(calls) == 1 and calls[0] is alg
 
 
 def test_g2_construction_exact():
@@ -128,7 +145,7 @@ def test_g2_construction_exact():
     for i in range(n):
         ei = [Q(0)] * n
         ei[i] = Q(1)
-        assert alg.killing_product(ei, ei) == -alg.inner_product(ei, ei)
+        assert ela.dot(ei, ela.matvec(alg.killing, ei)) == -alg.inner_product(ei, ei)
 
 
 def test_float_structure_jacobi_residual():

@@ -73,13 +73,6 @@ def test_apply_exact_and_float_agree():
     assert np.abs(np.array([float(x) for x in exact]) - fl).max() < 1e-12
 
 
-def test_scaled_preserves_structure():
-    alg, dec = su2_axes()
-    m = make_metric(dec, (Q(1), Q(2), Q(3)))
-    m2 = m.scaled(Q(4))
-    assert m2.coefficients == (4, 8, 12)
-
-
 def test_max_right_isometry_su2():
     alg, dec = su2_axes()
     # all distinct: only the zero element commutes with A in ad form

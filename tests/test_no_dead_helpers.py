@@ -1,11 +1,13 @@
-"""Every module-level function in the package must have a caller, and
-every field something that reads it.
+"""Every module-level function and method in the package must have a
+caller, and every field something that reads it.
 
-A function counts as used when its name is referenced somewhere in the
-package (a call, an attribute or an import, in any module including its
-own), is exported in ``gometrics.__all__``, or is referenced by the
-benchmark scripts in ``bench/``.  A helper that only the tests call is
-reported, so it is deleted with its tests instead of kept alive by them.
+A function, method or property counts as used when its name is
+referenced somewhere in the package (a call, an attribute or an import,
+in any module including its own), is exported in ``gometrics.__all__``,
+or is referenced by the benchmark scripts in ``bench/``.  Dunder methods
+are called by Python itself and are not checked.  A helper that only the
+tests call is reported, so it is deleted with its tests instead of kept
+alive by them.
 
 A field (a dataclass field, or an attribute an ``__init__`` sets on
 ``self``) counts as read when an attribute of its name is loaded
@@ -35,16 +37,38 @@ def _referenced_names(path: Path) -> set:
     return names
 
 
-def test_every_module_level_function_is_used():
+def _used_names() -> set:
     used = set(gometrics.__all__)
     for path in [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")]:
         used |= _referenced_names(path)
+    return used
+
+
+def test_every_module_level_function_is_used():
+    used = _used_names()
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name not in used:
                 unused.append(f"{path.stem}.{node.name}")
     assert not unused, f"module-level functions nothing calls: {unused}"
+
+
+def test_every_method_is_used():
+    used = _used_names()
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in used
+                ):
+                    unused.append(f"{path.stem}.{cls.name}.{node.name}")
+    assert not unused, f"methods and properties nothing references: {unused}"
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:

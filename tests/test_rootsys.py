@@ -32,7 +32,7 @@ def test_root_sets_are_symmetric_and_closed_in_system():
             assert tuple(-c for c in r) in roots
         # sum of two roots is either a root, zero, or leaves the system
         full = rootsys.RootSubsystem(parent=rs, roots=frozenset(rs.roots))
-        assert full.symmetric and full.closed
+        assert all(tuple(-c for c in r) in full.roots for r in full.roots) and full.closed
 
 
 def test_g2_has_two_root_lengths_ratio_three():
@@ -91,7 +91,7 @@ def brute_force_classes(rs):
             if len(roots) == len(rs.roots):
                 continue  # proper only
             sub = rootsys.RootSubsystem(parent=rs, roots=roots)
-            if sub.symmetric and sub.closed:
+            if all(tuple(-c for c in r) in sub.roots for r in sub.roots) and sub.closed:
                 subsystems.append(roots)
     classes = []
     for roots in subsystems:

@@ -370,9 +370,9 @@ def cmd_reproduce(args, config: RunConfig) -> int:
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode",
-        choices=("exact", "float"),
-        help="arithmetic mode; default: exact for rational metrics, "
-        "float when any entry is a decimal",
+        choices=("exact", "float", "auto"),
+        help="arithmetic mode; auto (the default) is exact for rational "
+        "metrics, float when any entry is a decimal",
     )
     parser.add_argument("--seed", type=int, default=None, help="sampling seed")
     parser.add_argument(

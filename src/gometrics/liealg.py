@@ -13,9 +13,11 @@ the derived subalgebra.  Two builders matter here:
   cross-plane signs by a deterministic Jacobi-validated completion.
 
 Every algebra is validated at construction unless ``validate=False`` is
-passed, and validation checks ad-invariance of the inner product,
-<[x, y], z> = <x, [y, z]>.  ``normalizer`` and the right-isometry kernel
-in ``metrics`` rely on that identity: they pair [e_i, u] with w as the
+passed.  Validation checks what can fail (antisymmetry, a symmetric
+positive definite inner product, Jacobi, ad-invariance
+<[x, y], z> = <x, [y, z]>, and lambda); the center is then the Killing
+kernel.  ``normalizer`` and the right-isometry kernel in ``metrics``
+rely on ad-invariance: they pair [e_i, u] with w as the
 i-th coordinate of ``lower([u, w])``, without bracketing unit vectors.
 So an algebra built with ``validate=False`` (a Jacobi candidate, or a
 subalgebra in its own basis) is only read for its structure constants,
@@ -204,13 +206,8 @@ class CompactLieAlgebra:
 
     @cached_property
     def center(self) -> "Subspace":
-        full = Subspace.from_indices(self, range(self.dim), label="g")
-        return centralizer(self, full, label="center")
-
-    @cached_property
-    def derived(self) -> "Subspace":
-        full = Subspace.from_indices(self, range(self.dim), label="g")
-        return module_product(self, full, full, label="[g,g]")
+        """The Killing kernel: the center of a validated algebra."""
+        return solution_space(self, self.killing, label="center")
 
     # -- validation -----------------------------------------------------
 
@@ -245,36 +242,28 @@ class CompactLieAlgebra:
             raise AlgebraValidationError("inner product not positive definite")
         if self.jacobi_residual():
             raise AlgebraValidationError("Jacobi identity fails")
-        # ad-invariance of the inner product: <[x,y],z> = -<y,[x,z]>
+        # ad-invariance: C_ijk = <[e_i,e_j], e_k> is antisymmetric in j, k.
+        # C_ijk + C_ikj is nonzero only where [e_i, e_j] or [e_i, e_k] is, so
+        # both orders of each nonzero bracket, against every k, cover it.
+        zero, low = [Q(0)] * n, {}
         for (i, j), ent in self._sparse.items():
-            for k in range(n):
-                lhs = sum((c * self.inner[m][k] for m, c in ent), Q(0))
-                rhs = sum(
-                    (c * self.inner[m][j] for m, c in self._basis_bracket(i, k)),
-                    Q(0),
-                )
-                if not _fzero(lhs + rhs):
-                    raise AlgebraValidationError("inner product is not ad-invariant")
-        # decomposition g = center + [g,g], Killing kernel = center
-        c_dim, d_dim = self.center.dim, self.derived.dim
-        if c_dim + d_dim != n:
-            raise AlgebraValidationError("center + derived do not span")
-        K = self.killing
-        for v in self.center.basis:
-            img = ela.matvec(K, v)
-            if not ela.vec_is_zero(img):
-                raise AlgebraValidationError("Killing form nonzero on the center")
+            low[i, j] = [sum((c * self.inner[m][k] for m, c in ent), Q(0)) for k in range(n)]
+            low[j, i] = [-x for x in low[i, j]]
+        for (i, j), row in low.items():
+            if any(not _fzero(row[k] + low.get((i, k), zero)[j]) for k in range(n)):
+                raise AlgebraValidationError("inner product is not ad-invariant")
+        # ad x is now skew, so B(x, x) = -|ad x|^2: ker B is the center and
+        # [g, g] its orthogonal complement (Helgason 1978, ch. II), and
+        # lambda reads <e_i, e_j> + lambda B_ij = <e_i, pi_center e_j>.
         if self.lambda_minus_b is not None:
-            lam = self.lambda_minus_b
-            for v in self.derived.basis:
-                kv = ela.matvec(K, v)
-                for u in self.derived.basis:
-                    want = -lam * ela.dot(u, kv)
-                    got = self.inner_product(u, v)
-                    if not _fzero(want - got):
-                        raise AlgebraValidationError(
-                            "inner product is not lambda * (-Killing) on [g,g]"
-                        )
+            lam, K, z = self.lambda_minus_b, self.killing, self.center
+            forms = [(self.lower(c), nc) for c, nc in zip(z.basis, z._norms)]
+            for i, j in itertools.combinations_with_replacement(range(n), 2):
+                on_z = sum((exact_div(f[i] * f[j], nc) for f, nc in forms), _ZERO)
+                if not _fzero(self.inner[i][j] + lam * K[i][j] - on_z):
+                    raise AlgebraValidationError(
+                        "inner product is not lambda * (-Killing) on [g,g]"
+                    )
 
     def __repr__(self):
         return f"CompactLieAlgebra({self.name}, dim={self.dim})"

@@ -77,7 +77,7 @@ def ricci_left_invariant(L: CompactLieAlgebra, metric: MetricEndomorphism) -> Ri
     ric, grams = _exact_ricci(L, metric)
     root = np.array([float(g) ** 0.5 for g in grams])
     ric_on = np.array([[float(r) for r in row] for row in ric]) / np.outer(root, root)
-    tr = float(np.trace(ric_on))
+    tr = float(ric_on.diagonal().sum())
     c = tr / n
     dev = float(np.linalg.norm(ric_on - c * np.eye(n), "fro")) / n ** 0.5
     ricci_exact = gram_exact = einstein_exact = None

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cached_property
 
 from .exactlinalg import dot
 from .scalars import format_scalar
@@ -55,9 +56,13 @@ class RootSystem:
     def is_root(self, v: Vec) -> bool:
         return _vec_key(v) in self._root_set
 
-    @property
+    @cached_property
     def _root_set(self):
         return frozenset(_vec_key(r) for r in self.roots)
+
+    @cached_property
+    def _weyl(self) -> tuple:
+        return weyl_group(self)
 
     def label(self, v: Vec) -> str:
         return self.labels.get(_vec_key(v), str(tuple(map(str, v))))
@@ -225,7 +230,7 @@ def weyl_group(rs: RootSystem) -> tuple:
 def _canonical_subset_key(rs: RootSystem, roots: frozenset):
     """W-invariant canonical key: minimum over W of the sorted image."""
     best = None
-    for w in weyl_group(rs):
+    for w in rs._weyl:
         img = sorted(_vec_key(_mat_apply(w, r)) for r in roots)
         if best is None or img < best:
             best = img

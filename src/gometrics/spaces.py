@@ -44,8 +44,6 @@ from .liealg import (
     build_compact_from_rootsystem,
     build_su3,
     direct_sum,
-    is_subalgebra,
-    module_product,
 )
 from .metrics import (
     MetricEndomorphism,
@@ -434,6 +432,9 @@ _G2_BLOCKS = (
     ("p5", ("U[2alpha+3beta]", "V[2alpha+3beta]", "U[alpha+3beta]", "V[alpha+3beta]")),
 )
 
+# the blocks that the bracket of two blocks reaches, by 0-based index
+_G2_REACH = {(0, 1): (), (1, 3): (), (2, 4): (3,), (3, 4): (2,), (2, 3): (2, 4)}
+
 
 @dataclass(frozen=True)
 class G2Decomposition:
@@ -523,39 +524,24 @@ def g2_decomposition() -> G2Decomposition:
     if not all(cartan.contains(v) for v in p1.sum(inner_part).basis):
         raise ValueError("torus mismatch")
 
-    def prod(a, b):
-        return module_product(alg, a, b)
+    # exact relations between the blocks
+    reach = blocks.bracket_reach
+    for (i, j), want in _G2_REACH.items():
+        if reach[i, j] != set(want):
+            image = "+".join(f"p{k + 1}" for k in want) or "0"
+            raise ValueError(f"[p{i + 1}, p{j + 1}] should reach {image}")
 
-    # exact inclusion and exclusion relations between the blocks
-    if prod(p2, p4).dim != 0:
-        raise ValueError("[p2, p4] should vanish")
-    q35 = prod(p3, p5)
-    if q35.dim == 0 or not p4.contains_subspace(q35):
-        raise ValueError("[p3, p5] should be a nonzero subspace of p4")
-    q45 = prod(p4, p5)
-    if q45.dim == 0 or not p3.contains_subspace(q45):
-        raise ValueError("[p4, p5] should be a nonzero subspace of p3")
-    q34 = prod(p3, p4)
-    p35 = p3.sum(p5)
-    if q34.dim == 0 or not p35.contains_subspace(q34):
-        raise ValueError("[p3, p4] should be a nonzero subspace of p3 + p5")
-    if all(p3.contains(v) for v in q34.basis):
-        raise ValueError("[p3, p4] should stick out of p3")
-
-    su2su2 = p1.sum(p2).sum(p4, label="p1+p2+p4")
-    if su2su2.dim != 6 or not is_subalgebra(alg, su2su2):
-        raise ValueError("p1 + p2 + p4 should close to a 6-dimensional subalgebra")
-    other = p1.sum(p4, label="p1+p4")
-    if prod(p2, other).dim != 0:
-        raise ValueError("the two 3-dimensional factors should commute")
-    for factor in (p2, other):
+    sums = dict(zip(blocks.block_sum_indices, blocks.block_sums))
+    su2su2, su3like = sums.get((0, 1, 3)), sums.get((0, 1, 4))
+    if su2su2 is None or su3like is None:
+        raise ValueError("p1 + p2 + p4 and p1 + p2 + p5 should close to subalgebras")
+    # [p2, p1 + p4] = 0, and p1 + p4 closes: p1 + p2 + p4 does, and
+    # <[p4, p1 + p4], p2> = <p4, [p1 + p4, p2]> = 0
+    for factor in (p2, sums[0, 3]):
         dim, _, negdef = _killing_profile(alg, factor)
         if dim != 3 or not negdef:
             raise ValueError("each factor should be compact simple of dimension 3")
 
-    su3like = p1.sum(p2).sum(p5, label="p1+p2+p5")
-    if su3like.dim != 8 or not is_subalgebra(alg, su3like):
-        raise ValueError("p1 + p2 + p5 should close to an 8-dimensional subalgebra")
     dim, rank, negdef = _killing_profile(alg, su3like)
     if (dim, rank, negdef) != (8, 2, True):
         raise ValueError("p1 + p2 + p5 should be compact of dimension 8 and rank 2")

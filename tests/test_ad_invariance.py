@@ -1,10 +1,10 @@
 """Subspace constructions that use ad-invariance against direct references.
 
 ``max_right_isometry_algebra`` and ``normalizer`` pair [e_i, u] with w as
-<e_i, [u, w]>, and ``center`` and ``centralizer`` read the adjoint
-matrices.  The references below bracket every unit vector and pair the
-result, or read the dense structure tensor, as the direct definitions
-do; both must give the same exact bases.
+<e_i, [u, w]>, ``centralizer`` reads the adjoint matrices, and
+``center`` is the Killing kernel.  The references below bracket every
+unit vector and pair the result, or read the dense structure tensor, as
+the direct definitions do; both must give the same exact bases.
 """
 
 from fractions import Fraction as Q

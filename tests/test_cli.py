@@ -343,6 +343,15 @@ def test_env_overrides_are_read_on_every_call(monkeypatch, capsys):
     assert [row.split(",")[3] for row in rows] == ["float", "float"]
 
 
+def test_mode_flag_auto_overrides_env_mode():
+    proc = run_cli(
+        "go-check", "--space", "lie:su2", "--metric", "1,1,2", "--samples", "2",
+        "--mode", "auto", env_extra={"GOMETRICS_MODE": "float"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert {c["method"] for c in json.loads(proc.stdout)["checks"]} == {"exact"}
+
+
 def test_mpmath_is_not_imported_by_a_well_conditioned_decimal_go_check():
     code = (
         "import sys, gometrics.cli as cli\n"

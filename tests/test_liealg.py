@@ -107,7 +107,7 @@ def test_su3_exact_jacobi_and_invariance():
     alg = build_su3(3, 1)
     alg.validate()  # exact Jacobi + inner-product ad-invariance
     assert alg.center.dim == 0
-    assert alg.derived.dim == 8
+    assert alg.dim - alg.center.dim == 8
 
 
 def test_su3_field_is_rational_for_equal_weights():
@@ -139,7 +139,7 @@ def test_g2_construction_exact():
     assert time.time() - t0 < 5.0
     assert alg.field_d == 3
     assert alg.center.dim == 0
-    assert alg.derived.dim == 14
+    assert alg.dim - alg.center.dim == 14
     # killing form of the -B gauge is minus the inner product
     n = alg.dim
     for i in range(n):
@@ -292,3 +292,68 @@ def test_validate_rejects_indefinite_inner_product():
         with pytest.raises(liealg.AlgebraValidationError, match="positive definite"):
             _plane(inner)
     assert _plane([[2, 1], [1, 2]]).dim == 2
+
+
+def _rebuilt(alg, lambda_minus_b, inner=None):
+    """alg's structure constants under another lambda or inner product."""
+    return liealg.CompactLieAlgebra(
+        name=alg.name,
+        basis_labels=alg.basis_labels,
+        structure=alg.structure,
+        inner=alg.inner if inner is None else inner,
+        lambda_minus_b=lambda_minus_b,
+        field_d=alg.field_d,
+    )
+
+
+def test_validate_rejects_wrong_lambda_on_su3():
+    su3 = build_su3(2, 1)
+    assert _rebuilt(su3, Q(1, 12)).dim == 8
+    with pytest.raises(liealg.AlgebraValidationError, match=r"lambda \* \(-Killing\)"):
+        _rebuilt(su3, Q(1, 6))
+
+
+def test_validate_checks_lambda_beside_a_center():
+    # u(2) = su(2) + R: the center term of <e_i, e_j> + lambda B_ij must
+    # cancel the center's own inner product, and only lambda = 1 fits su(2)
+    u2 = direct_sum(build_su2(), abelian(1))
+    assert u2.lambda_minus_b is None
+    assert _rebuilt(u2, Q(1)).center.dim == 1
+    with pytest.raises(liealg.AlgebraValidationError, match=r"lambda \* \(-Killing\)"):
+        _rebuilt(u2, Q(2))
+
+
+def test_validate_rejects_inner_product_coupling_center_to_su2():
+    u2 = direct_sum(build_su2(), abelian(1))
+    inner = [list(row) for row in u2.inner]
+    inner[0][3] = inner[3][0] = Q(1, 4)  # still positive definite
+    assert ela.is_positive_definite(inner)
+    with pytest.raises(liealg.AlgebraValidationError, match="not ad-invariant"):
+        _rebuilt(u2, Q(1), inner=inner)
+
+
+def _e2(rotation_first):
+    """The Euclidean algebra e(2) under the identity inner product.
+
+    ad of the rotation is skew there but ad of a translation is not, so
+    the inner product is not ad-invariant (and e(2) is not compact).
+    """
+    r, t1, t2 = (0, 1, 2) if rotation_first else (2, 0, 1)
+    structure = [[[Q(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for a, b, c, s in ((r, t1, t2, 1), (r, t2, t1, -1)):
+        structure[a][b][c] = Q(s)
+        structure[b][a][c] = Q(-s)
+    return liealg.CompactLieAlgebra(
+        name="e2",
+        basis_labels=("a", "b", "c"),
+        structure=structure,
+        inner=[[Q(int(i == j)) for j in range(3)] for i in range(3)],
+    )
+
+
+@pytest.mark.parametrize("rotation_first", [True, False])
+def test_validate_rejects_e2_in_either_basis_order(rotation_first):
+    # with the rotation first, every nonzero bracket [e_i, e_j] has i < j
+    # on the rotation, so only the reversed pairs reach ad of a translation
+    with pytest.raises(liealg.AlgebraValidationError, match="not ad-invariant"):
+        _e2(rotation_first)

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
+from gometrics import ricci
 from gometrics import (
     EINSTEIN_SET_1,
     EINSTEIN_SET_2,
@@ -247,3 +250,29 @@ def test_g2_ricci_matches_park_sakane_block_formula(seed):
     want = park_sakane_ricci(dec.algebra, dec.blocks.blocks, x)
     owner = [k for k, block in enumerate(dec.blocks.blocks) for _ in block.basis]
     assert [ric[a][a] / grams[a] for a in range(n)] == [want[k] for k in owner]
+
+
+def test_ricci_keeps_no_numpy_memory_alive_across_calls():
+    # Distinct rescalings of set 3, so that no value repeats.  Only blocks
+    # that numpy allocates under a ricci.py frame are read: the
+    # interpreter's free lists keep a bounded number of recycled floats,
+    # lists and tuples traced at whatever line first allocated them.
+    dec = g2_decomposition()
+    metrics = [
+        g2_metric(*(c * (1 + k / 1000) for c in EINSTEIN_SET_3), decomposition=dec)
+        for k in range(105)
+    ]
+    for metric in metrics[:5]:
+        ricci_left_invariant(dec.algebra, metric)
+    in_ricci = [tracemalloc.Filter(True, ricci.__file__, all_frames=True)]
+    in_numpy = [tracemalloc.Filter(True, os.path.join(os.path.dirname(np.__file__), "*"))]
+    tracemalloc.start(25)
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(in_ricci).filter_traces(in_numpy)
+        for metric in metrics[5:]:
+            ricci_left_invariant(dec.algebra, metric)
+        after = tracemalloc.take_snapshot().filter_traces(in_ricci).filter_traces(in_numpy)
+    finally:
+        tracemalloc.stop()
+    grown = [d for d in after.compare_to(before, "traceback") if d.size_diff > 0]
+    assert not grown, [f"{d.traceback[-1]}: {d.size_diff:+} B" for d in grown[:3]]

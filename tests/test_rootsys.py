@@ -77,6 +77,23 @@ def test_weyl_group_permutes_roots():
         assert image == roots
 
 
+def test_weyl_group_is_built_once_per_classification(monkeypatch):
+    calls = []
+    original = rootsys.weyl_group
+
+    def counted(rs):
+        calls.append(rs)
+        return original(rs)
+
+    monkeypatch.setattr(rootsys, "weyl_group", counted)
+    rs = g2()
+    classes = rootsys.enumerate_closed_symmetric_subsystems(rs)
+    assert len(calls) == 1
+    assert rootsys.subsystems_equivalent(rs, classes[1].roots, classes[1].roots)
+    assert not rootsys.subsystems_equivalent(rs, classes[1].roots, classes[2].roots)
+    assert len(calls) == 1
+
+
 def brute_force_classes(rs):
     """Independent enumeration: every proper subset of roots that is
     symmetric and closed, grouped into Weyl classes by pairwise testing.

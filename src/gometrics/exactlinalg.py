@@ -1,59 +1,83 @@
 """Exact dense linear algebra over Q and Q(sqrt(D)).
 
 Matrices are lists of row lists whose entries are int, Fraction, or Quad;
-all irrational Quad entries of one matrix share one radicand D.
-Elimination is fraction-free (in the spirit of Bareiss 1968): ``rref``
-clears each row's denominators, runs Gauss-Jordan on integer pairs
-p + q*sqrt(D), scaling rows by integers and dividing each row by its
-content, and returns Fraction and Quad entries only at the end.  Zero
-tests are exact, so ranks and solvability verdicts are certificates, not
-numerical estimates; a float entry is refused with TypeError.
+all irrational Quad entries of one matrix share one radicand D.  One
+Gauss-Jordan core, ``_eliminate``, runs fraction-free (in the spirit of
+Bareiss 1968) on integer pairs p + q*sqrt(D), scaling rows by integers
+and dividing each row by its content.  ``rref``, ``solve`` and
+``nullspace`` clear each row's denominators (``pair_rows``) before it;
+a caller that already holds integer pairs, such as a compiled geodesic
+system, passes its augmented rows to ``solve_augmented``.  Entries
+become Fraction and Quad only at the end.  Zero tests are exact, so
+ranks and solvability verdicts are certificates, not numerical
+estimates; a float entry is refused with TypeError, two radicands with
+ValueError.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
+from typing import NamedTuple
 
 from .scalars import Quad, exact_div, is_exact
 
 
-def _is_zero(x) -> bool:
-    return not x
+def clear_denominators(values, d: int = 0):
+    """(d, den, p, q) with values[k] = (p[k] + q[k] sqrt(d)) / den for one
+    positive integer den; d is the radicand of the irrational values, or
+    the one given (0 for none)."""
+    split = []
+    for x in values:
+        if isinstance(x, Quad):
+            if x.b:
+                if d and x.d != d:
+                    raise ValueError(f"mixed radicands sqrt({d}) and sqrt({x.d})")
+                d = x.d
+            split.append((x.a, x.b))
+        elif isinstance(x, (int, Q)):
+            split.append((x, 0))
+        else:
+            raise TypeError(f"exact elimination refuses {type(x).__name__} entry {x!r}")
+    # one pair at a time, as gcd in _combine: lcm(*values) raised RSS 0.3 MiB
+    den = 1
+    for a, b in split:
+        den = math.lcm(den, a.denominator, b.denominator)
+    p = [a.numerator * (den // a.denominator) for a, _ in split]
+    return d, den, p, [b.numerator * (den // b.denominator) for _, b in split]
 
 
-def mat_copy(m):
-    # ints become Fractions so that / stays exact
-    return [[Q(x) if isinstance(x, int) else x for x in row] for row in m]
+class PairRows(NamedTuple):
+    """Row i is [p_0 .. p_{c-1}, q_0 .. q_{c-1}], standing for the entries
+    (p_k + q_k sqrt(d)) / dens[i]; d is 0 when no entry is irrational."""
+
+    d: int
+    rows: list
+    dens: list
+
+    def floats(self):
+        """The entries as ``pair_float`` gives them."""
+        c = len(self.rows[0]) // 2 if self.rows else 0
+        return [
+            [pair_float(p, q, den, self.d) for p, q in zip(r[:c], r[c:])]
+            for r, den in zip(self.rows, self.dens)
+        ]
 
 
-def _integer_rows(m):
-    """(D, rows): each row of m scaled by its common denominator, as one
-    int list [p_0 .. p_{c-1}, q_0 .. q_{c-1}] with entry k = p_k + q_k sqrt(D);
-    D is 0 when no entry is irrational."""
-    d = 0
-    rows = []
+def pair_float(p, q, den, d):
+    """(p + q sqrt(d)) / den, rounded as float() rounds the Fraction or
+    Quad it stands for: int / int is correctly rounded."""
+    return p / den + q / den * math.sqrt(d) if q else p / den
+
+
+def pair_rows(m) -> PairRows:
+    """m with each row scaled by its common denominator."""
+    d, rows, dens = 0, [], []
     for row in m:
-        split = []
-        for x in row:
-            if isinstance(x, Quad):
-                if x.b:
-                    if d and x.d != d:
-                        raise ValueError(f"mixed radicands sqrt({d}) and sqrt({x.d})")
-                    d = x.d
-                split.append((x.a, x.b))
-            elif isinstance(x, (int, Q)):
-                split.append((x, 0))
-            else:
-                raise TypeError(f"exact elimination refuses {type(x).__name__} entry {x!r}")
-        den = 1
-        for a, b in split:
-            den = math.lcm(den, a.denominator, b.denominator)
-        rows.append(
-            [a.numerator * (den // a.denominator) for a, _ in split]
-            + [b.numerator * (den // b.denominator) for _, b in split]
-        )
-    return d, rows
+        d, den, p, q = clear_denominators(row, d)
+        rows.append(p + q)
+        dens.append(den)
+    return PairRows(d, rows, dens)
 
 
 def _combine(s, x, f, y, d):
@@ -71,17 +95,13 @@ def _combine(s, x, f, y, d):
     return [v // g for v in out] if g > 1 else out
 
 
-def rref(m):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
-
-    Each pivot row is first multiplied by its pivot's conjugate, so that
-    every pivot is a rational integer; eliminating a column then scales
-    the other rows by integers only.  The reduced echelon form is unique,
-    so the result is the one Fraction Gauss-Jordan gives, entry for entry.
-    """
-    d, a = _integer_rows(m)
+def _eliminate(d, a, cols) -> list:
+    """Gauss-Jordan on the integer-pair rows a, in place; returns the pivot
+    columns.  Each pivot row is first multiplied by its pivot's
+    conjugate, so that every pivot is a rational integer; eliminating a
+    column then scales the other rows by integers only.  Row i < rank
+    stands for its reduced row divided by its pivot a[i][pivots[i]]."""
     rows = len(a)
-    cols = len(m[0]) if rows else 0
     pivots: list[int] = []
     for c in range(cols):
         r = len(pivots)
@@ -97,39 +117,56 @@ def rref(m):
         pivots.append(c)
         if len(pivots) == rows:
             break
+    return pivots
+
+
+def _entry(row, k, den, d):
+    """Entry k of an integer-pair row over den, as a Fraction or Quad."""
+    p, q = row[k], row[len(row) // 2 + k]
+    return Quad(Q(p, den), Q(q, den), d) if q else Q(p, den)
+
+
+def rref(m):
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
+
+    The reduced echelon form is unique, so the integer elimination gives
+    the one Fraction Gauss-Jordan gives, entry for entry.
+    """
+    d, a, _ = pair_rows(m)
+    cols = len(m[0]) if a else 0
+    pivots = _eliminate(d, a, cols)
     out = []
     for i, row in enumerate(a):
         den = row[pivots[i]] if i < len(pivots) else 1
-        out.append([
-            Quad(Q(p, den), Q(q, den), d) if q else Q(p, den)
-            for p, q in zip(row[:cols], row[cols:])
-        ])
+        out.append([_entry(row, k, den, d) for k in range(cols)])
     return out, pivots
 
 
 def rank(m) -> int:
-    if not m or not m[0]:
-        return 0
     return len(rref(m)[1])
 
 
 def solve(m, b):
-    """Solve m x = b with one elimination of [m | b].
+    """Solve m x = b, m rows x cols and b of length rows, with one
+    elimination of [m | b]; see ``solve_augmented``."""
+    if not m:
+        return [], 0
+    return solve_augmented(pair_rows([list(m[i]) + [b[i]] for i in range(len(m))]))
 
-    m is rows x cols; b a length-rows vector.  Returns (x, rank of m):
-    x is one exact solution with the free variables set to 0, or None
-    when the system is inconsistent, and then rank [m | b] = rank m + 1.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if rows == 0:
-        return [Q(0)] * cols, 0
-    red, pivots = rref([list(m[i]) + [b[i]] for i in range(rows)])
+
+def solve_augmented(system: PairRows):
+    """(x, rank of m) for the augmented rows [m | b] of m x = b: x is one
+    exact solution with the free variables set to 0, or None when the
+    system is inconsistent, and then rank [m | b] = rank m + 1.  Only the
+    entries of x become Fraction or Quad."""
+    a = list(system.rows)
+    cols = len(a[0]) // 2 - 1
+    pivots = _eliminate(system.d, a, cols + 1)
     if cols in pivots:
         return None, len(pivots) - 1  # pivot in the rhs column: inconsistent
     x = [Q(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
+    for row, c in zip(a, pivots):
+        x[c] = _entry(row, cols, row[c], system.d)
     return x, len(pivots)
 
 
@@ -139,8 +176,6 @@ def nullspace(m):
     cols = len(m[0]) if rows else 0
     if cols == 0:
         return []
-    if rows == 0:
-        return [[Q(1) if i == j else Q(0) for i in range(cols)] for j in range(cols)]
     red, pivots = rref(m)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
@@ -159,7 +194,7 @@ def is_positive_definite(m) -> bool:
     Symmetric elimination without row exchanges: m is positive definite
     exactly when every pivot is positive (Sylvester's criterion).
     """
-    work = mat_copy(m)
+    work = [list(row) for row in m]  # exact_div keeps int entries exact
     n = len(work)
     for t in range(n):
         pivot = work[t][t]
@@ -167,7 +202,7 @@ def is_positive_definite(m) -> bool:
             return False
         for r in range(t + 1, n):
             factor = exact_div(work[r][t], pivot)
-            if not _is_zero(factor):
+            if factor:
                 for s in range(t, n):
                     work[r][s] -= factor * work[t][s]
     return True
@@ -188,8 +223,6 @@ def in_span(vectors, v) -> bool:
 
 
 def span_rank(vectors) -> int:
-    if not vectors:
-        return 0
     return rank([list(v) for v in vectors])
 
 
@@ -208,9 +241,9 @@ def gram_schmidt(vectors, inner):
         w = list(v)
         for b, nb in zip(basis, norms):
             coeff = exact_div(inner(w, b), nb)
-            if not _is_zero(coeff):
+            if coeff:
                 w = [x - coeff * y for x, y in zip(w, b)]
-        if any(not _is_zero(x) for x in w):
+        if any(w):
             basis.append(w)
             norms.append(inner(w, w))
     return basis
@@ -231,11 +264,11 @@ def intersect_spans(a_vectors, b_vectors):
     for ker in nullspace(m):
         vec = [Q(0)] * n
         for j, c in enumerate(ker[: len(a_vectors)]):
-            if not _is_zero(c):
+            if c:
                 vec = [x + c * y for x, y in zip(vec, a_vectors[j])]
         # dependent inputs can produce zero or repeated vectors; keep an
         # independent subset only
-        if any(not _is_zero(x) for x in vec) and not in_span(out, vec):
+        if any(vec) and not in_span(out, vec):
             out.append(vec)
     return out
 
@@ -245,4 +278,4 @@ def all_exact(values) -> bool:
 
 
 def vec_is_zero(v) -> bool:
-    return all(_is_zero(x) for x in v)
+    return not any(v)

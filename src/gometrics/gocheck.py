@@ -24,12 +24,14 @@ pairing) is compiled once into a ``liealg.BracketSystem``, kept on the
 object that owns that data: the ``ReductiveSpace`` for the direct form,
 the reduced form (one per extra Subspace) and the normal-transitive
 form, and the cached right-isometry kernel Subspace for the group case.
-A direction then costs M = sum_a (A X)_a G[a] and one contraction of
-(A X, X) with the pair tensor S, exact or float, with no bracket,
-projection or inner product.  For the direct and reduced
-systems p pairs against the complement basis, which gives the lemma's
-system entry for entry: with proj_m the orthogonal projection (self-
-adjoint) and A X in m,
+A direction makes no bracket, projection or inner product.  An exact
+one clears A X and X to integers once, into augmented rows [M s | b s]
+over Z[sqrt(D)] that ``solve_linear_feasibility`` eliminates and whose
+floats give an infeasible system's residual; only witness entries
+become Fraction or Quad.  A float one takes one numpy contraction.  For
+the direct and reduced systems p pairs against the complement basis,
+which gives the lemma's system entry for entry: with proj_m the
+orthogonal projection (self-adjoint) and A X in m,
 
     <proj_m [W, Y], A X> = <[W, Y], A X> = -<Y, [W, A X]> = <[A X, W], Y>
 
@@ -225,34 +227,33 @@ def solve_linear_feasibility(
     """Decide solvability of (rows) z = rhs.
 
     Exact inputs get an exact decision from one elimination of
-    [rows | rhs].  Float inputs go through least squares with the
-    threshold policy from ``tolerances``; scale_hint carries the natural
-    magnitude of the unknowns (for the geodesic systems, the background
-    norm of the sampled direction) so the relative residual is invariant
-    under scaling the direction or the metric.  A residual above
-    ``feasible_rel`` on a trusted spectrum is decided in float64
-    (infeasible or indeterminate); only an untrusted spectrum goes to
-    the ``ESCALATE_DPS``-digit retry, which can only settle it feasible.
+    [rows | rhs], which a compiled ``BracketSystem`` passes as one
+    ``exactlinalg.PairRows`` with rhs None.  Float inputs go through
+    least squares with the threshold policy from ``tolerances``;
+    scale_hint carries the natural magnitude of the unknowns (for the
+    geodesic systems, the background norm of the sampled direction) so
+    the relative residual is invariant under scaling the direction or
+    the metric.  A residual above ``feasible_rel`` on a trusted spectrum
+    is decided in float64 (infeasible or indeterminate); only an
+    untrusted spectrum goes to the ``ESCALATE_DPS``-digit retry, which
+    can only settle it feasible.
     """
     tol = tolerances or Tolerances()
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    exact = all(ela.all_exact(r) for r in rows) and ela.all_exact(rhs)
-    if nrows == 0:
-        return FeasibilityResult("feasible", 0.0, tuple([Q(0)] * ncols), "exact" if exact else "float")
-    if exact:
-        if ela.vec_is_zero(rhs):
-            sol = [Q(0)] * ncols  # the witness elimination would find
+    if rhs is not None and all(ela.all_exact(r) for r in rows) and ela.all_exact(rhs):
+        rows, rhs = ela.pair_rows([list(r) + [b] for r, b in zip(rows, rhs)]), None
+    if rhs is None:
+        ncols = len(rows.rows[0]) // 2 - 1 if rows.rows else 0
+        if any(r[ncols] or r[-1] for r in rows.rows):
+            sol, rank_m = ela.solve_augmented(rows)
         else:
-            sol, rank_m = ela.solve([list(r) for r in rows], list(rhs))
+            sol = [Q(0)] * ncols  # the witness elimination would find
         if sol is not None:
-            return FeasibilityResult(
-                "feasible", 0.0, tuple(sol), "exact",
-                detail={"certificate": "exact-solution"},
-            )
+            detail = {"certificate": "exact-solution"}
+            return FeasibilityResult("feasible", 0.0, tuple(sol), "exact", detail=detail)
         # informative float residual for the report
+        floats = rows.floats()
         _, rel, sratio = _lstsq_stats(
-            np.array(rows, dtype=float), np.array(rhs, dtype=float), scale_hint
+            np.array([r[:-1] for r in floats]), np.array([r[-1] for r in floats]), scale_hint
         )
         return FeasibilityResult(
             "infeasible", rel, None, "exact", sigma_ratio=sratio,
@@ -261,7 +262,7 @@ def solve_linear_feasibility(
     Mf = np.array(rows, dtype=float)
     bf = np.array(rhs, dtype=float)
     if not np.linalg.norm(bf):
-        return FeasibilityResult("feasible", 0.0, tuple([0.0] * ncols), "float")
+        return FeasibilityResult("feasible", 0.0, tuple([0.0] * len(rows[0])), "float")
     z, rel, sratio = _lstsq_stats(Mf, bf, scale_hint)
     if rel <= tol.feasible_rel:
         return FeasibilityResult("feasible", rel, tuple(float(v) for v in z), "float", sigma_ratio=sratio)

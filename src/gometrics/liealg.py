@@ -380,8 +380,10 @@ class BracketSystem:
 
         M = sum_a u_a G[a],   rhs = -sum_{a<b} (u_a x_b - u_b x_a) S[a, b]
 
-    with no bracket or inner product.  Float input takes one numpy
-    contraction over float copies of the same tensors.
+    with no bracket or inner product.  They are kept as integer pairs
+    (p, q) over one common denominator, entry (p + q sqrt(radicand)) /
+    denominator: exact input is assembled on these integers, float input
+    by one numpy contraction over float copies of the same tensors.
     """
 
     def __init__(self, L: CompactLieAlgebra, generators, pairing=None):
@@ -411,47 +413,60 @@ class BracketSystem:
                     for i, v in S.get((min(a, b), max(a, b)), ()):
                         acc[i, j] = acc.get((i, j), 0) + sign * v
             G.append([(i, j, v) for (i, j), v in acc.items() if v])
-        self.pair_brackets = S
-        self.generator_brackets = G
+        values = (e[-1] for ent in [*G, *S.values()] for e in ent)
+        self.radicand, self.denominator, p, q = ela.clear_denominators(values)
+        pq = iter(zip(p, q))
+        # G[a] as [(i, j, p, q), ..] and S as [(a, b, [(i, p, q), ..]), ..]
+        self.generator_brackets = [[(i, j, *next(pq)) for i, j, _ in ent] for ent in G]
+        self.pair_brackets = [(a, b, [(i, *next(pq)) for i, _ in ent]) for (a, b), ent in S.items()]
 
     @cached_property
     def _float_tensors(self):
         n = self.algebra.dim
         rows, cols = self.shape
+        d, den = self.radicand, self.denominator
         G = np.zeros((n, rows, cols))
         for a, entries in enumerate(self.generator_brackets):
-            for i, j, v in entries:
-                G[a, i, j] = float(v)
+            for i, j, p, q in entries:
+                G[a, i, j] = ela.pair_float(p, q, den, d)
         S = np.zeros((n, n, rows))
-        for (a, b), entries in self.pair_brackets.items():
-            for i, v in entries:
-                S[a, b, i] = float(v)
-                S[b, a, i] = -float(v)
+        for a, b, entries in self.pair_brackets:
+            for i, p, q in entries:
+                S[a, b, i] = ela.pair_float(p, q, den, d)
+                S[b, a, i] = -S[a, b, i]
         return G, S
 
     def equations(self, u, x):
-        """(M, rhs) of the system for u and x: exact lists when both are
-        exact, numpy arrays otherwise."""
+        """The system for u and x: numpy arrays (M, rhs) for float input;
+        for exact input the augmented rows [M s | rhs s] as an
+        ``exactlinalg.PairRows`` with one integer scale s, and None."""
         if not (ela.all_exact(u) and ela.all_exact(x)):
             G, S = self._float_tensors
             uf = np.array([float(v) for v in u])
             xf = np.array([float(v) for v in x])
             return np.tensordot(uf, G, 1), -(xf @ np.tensordot(uf, S, 1))
+        d, su, up, uq = ela.clear_denominators(u, self.radicand)
+        d, sx, xp, xq = ela.clear_denominators(x, d)
         rows, cols = self.shape
-        M = [[_ZERO] * cols for _ in range(rows)]
-        for c, entries in zip(u, self.generator_brackets):
-            if c:
-                for i, j, g in entries:
-                    M[i][j] = M[i][j] + c * g
-        rhs = [_ZERO] * rows
-        for (a, b), entries in self.pair_brackets.items():
-            ua, xb, ub, xa = u[a], x[b], u[b], x[a]
-            if (ua and xb) or (ub and xa):
-                f = ua * xb - ub * xa
-                if f:
-                    for i, s in entries:
-                        rhs[i] = rhs[i] - f * s
-        return M, rhs
+        out = [[0] * (2 * cols + 2) for _ in range(rows)]
+        # M s = sum_a (u_a su sx)(G[a] den) with s = su sx den
+        for entries, p, q in zip(self.generator_brackets, up, uq):
+            if p or q:
+                p, q = p * sx, q * sx
+                for i, j, gp, gq in entries:
+                    row = out[i]
+                    row[j] += p * gp + q * gq * d
+                    row[cols + 1 + j] += p * gq + q * gp
+        # rhs s = -sum_{a<b} ((u_a x_b - u_b x_a) su sx)(S[a, b] den)
+        for a, b, entries in self.pair_brackets:
+            fp = up[a] * xp[b] - up[b] * xp[a] + (uq[a] * xq[b] - uq[b] * xq[a]) * d
+            fq = up[a] * xq[b] + uq[a] * xp[b] - up[b] * xq[a] - uq[b] * xp[a]
+            if fp or fq:
+                for i, sp, sq in entries:
+                    row = out[i]
+                    row[cols] -= fp * sp + fq * sq * d
+                    row[-1] -= fp * sq + fq * sp
+        return ela.PairRows(d, out, [su * sx * self.denominator] * rows), None
 
 
 # -- module-level operations (spec names) --------------------------------
@@ -736,29 +751,21 @@ def direct_sum(a: CompactLieAlgebra, b: CompactLieAlgebra, name: str = "") -> Co
     n, m = a.dim, b.dim
     dim = n + m
     c = [[[Q(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j), ent in a._sparse.items():
-        for k, v in ent:
-            c[i][j][k] = v
-            c[j][i][k] = -v
-    for (i, j), ent in b._sparse.items():
-        for k, v in ent:
-            c[n + i][n + j][n + k] = v
-            c[n + j][n + i][n + k] = -v
-    inner = [[Q(0)] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            inner[i][j] = a.inner[i][j]
-    for i in range(m):
-        for j in range(m):
-            inner[n + i][n + j] = b.inner[i][j]
-    lam = a.lambda_minus_b if a.lambda_minus_b == b.lambda_minus_b else None
+    for off, summand in ((0, a), (n, b)):
+        for (i, j), ent in summand._sparse.items():
+            for k, v in ent:
+                c[off + i][off + j][off + k] = v
+                c[off + j][off + i][off + k] = -v
+    inner = [list(row) + [Q(0)] * m for row in a.inner] + [[Q(0)] * n + list(row) for row in b.inner]
+    # an abelian summand has no derived algebra, so lambda is the other's
+    lams = {x.lambda_minus_b for x in (a, b) if x._sparse}
     labels = [f"a.{x}" for x in a.basis_labels] + [f"b.{x}" for x in b.basis_labels]
     return CompactLieAlgebra(
         name=name or f"{a.name}(+){b.name}",
         basis_labels=labels,
         structure=c,
         inner=inner,
-        lambda_minus_b=lam,
+        lambda_minus_b=lams.pop() if len(lams) == 1 else None,
         field_d=a.field_d if a.field_d is not None else b.field_d,
     )
 

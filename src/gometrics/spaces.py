@@ -240,7 +240,10 @@ def aw_symbolic_go_witness(aw: AloffWallach, x, x4, seed: int = 0) -> dict:
     monomial evaluations of degree <= 2 plus one random rational point
     proves it.  The first two diagonal rates of the compensator in the
     3x3 picture are returned per unit a0; they are (x4/x - 1)(l - m) f
-    and (x4/x - 1)(m - k) f.
+    and (x4/x - 1)(m - k) f.  A and X + W act on tangent coordinates by
+    c = (x4, x, .., x) and tau = (x4/x, 1, .., 1), so each point is
+    evaluated bilinearly, [A X, X + W] = sum_{i<j} a_i a_j (c_i tau_j -
+    c_j tau_i) [e_i, e_j], with no bracket call.
     """
     x = Q(x)
     x4 = Q(x4)
@@ -253,18 +256,24 @@ def aw_symbolic_go_witness(aw: AloffWallach, x, x4, seed: int = 0) -> dict:
     points = [[Q(0)] * 7]
     points += _monomial_points_deg2(7)
     points.append(_random_rational_point(7, seed))
-    commutator_zero = True
-    proportional = True
+    c = [x4] + [x] * 6
+    tau = [x4 / x] + [Q(1)] * 6
+    # tangent coordinate i is ambient coordinate i + 1
+    terms = [
+        (i, j, w, [(k, v) for k, v in enumerate(alg.structure[i + 1][j + 1]) if v])
+        for i, j in itertools.combinations(range(7), 2)
+        if (w := c[i] * tau[j] - c[j] * tau[i])
+    ]
+    drift = [t - ci / x for t, ci in zip(tau, c)]
+    commutator_zero = proportional = True
     for a in points:
-        full = _aw_ambient(a)
-        coeff = [Q(1), x4, x, x, x, x, x, x]
-        ax = [c * v for c, v in zip(coeff, full)]
-        t = list(full)
-        t[1] = full[1] + scale * a[0]
-        if not ela.vec_is_zero(alg.bracket(ax, t)):
-            commutator_zero = False
-        if not ela.vec_is_zero([ti - ai / x for ti, ai in zip(t, ax)]):
-            proportional = False
+        out = [Q(0)] * alg.dim
+        for i, j, w, ent in terms:
+            for k, v in ent:
+                out[k] = out[k] + a[i] * a[j] * w * v
+        commutator_zero &= not any(out)
+        # X + W - A X / x = sum_j a_j (tau_j - c_j / x) e_j
+        proportional &= not any(ai and di for ai, di in zip(a, drift))
     return {
         "x": format_scalar(x),
         "x4": format_scalar(x4),

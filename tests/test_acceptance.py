@@ -8,9 +8,6 @@ tests themselves.
 import itertools
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction as Q
 
@@ -53,6 +50,8 @@ from gometrics.rootsys import (
     subsystems_equivalent,
 )
 from gometrics.rootsys import RootSubsystem
+
+from child import run_python
 
 SU2 = build_su2()
 
@@ -397,16 +396,7 @@ def test_criterion_11_su2_sanity():
 
 
 def test_criterion_12_reproduction_determinism():
-    env = {k: v for k, v in os.environ.items() if not k.startswith("GOMETRICS_")}
-    runs = [
-        subprocess.run(
-            [sys.executable, "-m", "gometrics", "reproduce", "g2-einstein", "--seed", "5"],
-            capture_output=True,
-            env=env,
-            timeout=300,
-        )
-        for _ in range(2)
-    ]
+    runs = [run_python("-m", "gometrics", "reproduce", "g2-einstein", "--seed", "5") for _ in range(2)]
     assert runs[0].returncode == 0, runs[0].stderr
     assert runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout

@@ -3,26 +3,15 @@
 import hashlib
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
 import gometrics.cli as cli
-
-PY = sys.executable
+from child import run_python
 
 
 def run_cli(*args, env_extra=None):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("GOMETRICS_")}
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [PY, "-m", "gometrics", *args],
-        capture_output=True,
-        env=env,
-        timeout=300,
-    )
+    return run_python("-m", "gometrics", *args, env_extra=env_extra)
 
 
 # ------------------------------------------------------------- exit codes
@@ -360,6 +349,5 @@ def test_mpmath_is_not_imported_by_a_well_conditioned_decimal_go_check():
         "assert rc == 4, rc\n"
         "assert 'mpmath' not in sys.modules, 'go-check'\n"
     )
-    env = {k: v for k, v in os.environ.items() if not k.startswith("GOMETRICS_")}
-    proc = subprocess.run([PY, "-c", code], capture_output=True, env=env, timeout=300)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr

@@ -23,6 +23,7 @@ from gometrics.liealg import (
 )
 from gometrics.rootsys import build_a1, build_a2, build_g2
 from gometrics.scalars import Quad
+from gometrics.spaces import aloff_wallach
 
 
 # -- independent oracle: 3x3 anti-hermitian traceless matrices ---------------
@@ -317,10 +318,28 @@ def test_validate_checks_lambda_beside_a_center():
     # u(2) = su(2) + R: the center term of <e_i, e_j> + lambda B_ij must
     # cancel the center's own inner product, and only lambda = 1 fits su(2)
     u2 = direct_sum(build_su2(), abelian(1))
-    assert u2.lambda_minus_b is None
+    assert u2.lambda_minus_b == Q(1)  # su(2)'s: the torus has no derived algebra
     assert _rebuilt(u2, Q(1)).center.dim == 1
     with pytest.raises(liealg.AlgebraValidationError, match=r"lambda \* \(-Killing\)"):
         _rebuilt(u2, Q(2))
+
+
+def test_direct_sum_with_a_torus_checks_the_other_summands_lambda():
+    su2 = build_su2()
+    wrong = liealg.CompactLieAlgebra(
+        name=su2.name,
+        basis_labels=su2.basis_labels,
+        structure=su2.structure,
+        inner=su2.inner,
+        lambda_minus_b=Q(2),
+        validate=False,
+    )
+    for a, b in ((wrong, abelian(1)), (abelian(2), wrong)):
+        with pytest.raises(liealg.AlgebraValidationError, match=r"lambda \* \(-Killing\)"):
+            direct_sum(a, b)
+    # every u(3) extension of an Aloff-Wallach space carries su(3)'s lambda
+    assert aloff_wallach(2, 1).extension[0].lambda_minus_b == Q(1, 12)
+    assert direct_sum(abelian(1), abelian(2)).lambda_minus_b is None
 
 
 def test_validate_rejects_inner_product_coupling_center_to_su2():

@@ -12,8 +12,6 @@ compiled once per decomposition, on first use.
 """
 
 import os
-import subprocess
-import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -34,6 +32,8 @@ from gometrics.spaces import (
     g2_decomposition,
     g2_metric,
 )
+
+from child import run_python
 
 
 @pytest.fixture
@@ -130,14 +130,11 @@ _INTERLEAVED = (
 
 
 def test_interleaved_go_checks_match_cold_processes(clean_env, capsys):
-    env = dict(os.environ)
     for space, metric in _INTERLEAVED:
         args = ["go-check", "--space", space, "--metric", metric]
         warm_rc = cli.main(args)
         warm = capsys.readouterr().out
-        cold = subprocess.run(
-            [sys.executable, "-m", "gometrics", *args], capture_output=True, env=env, timeout=300
-        )
+        cold = run_python("-m", "gometrics", *args)
         assert cold.returncode == warm_rc, (args, cold.stderr)
         assert warm == cold.stdout.decode(), args
 
@@ -266,9 +263,7 @@ def test_g2_decomposition_does_not_compile_the_ricci_polynomial(clean_env):
         "from gometrics.spaces import g2_decomposition; "
         "print(sorted(vars(g2_decomposition().blocks)))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, env=dict(os.environ), timeout=300
-    )
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert "ricci_polynomial" not in proc.stdout.decode()
 

@@ -32,7 +32,9 @@ from gometrics import (
     reproduce_main_theorem,
 )
 from gometrics.metrics import MetricValidationError
-from gometrics.spaces import _killing_profile
+from gometrics.liealg import CompactLieAlgebra
+from gometrics.scalars import format_scalar
+from gometrics.spaces import _aw_ambient, _killing_profile, _monomial_points_deg2, _random_rational_point
 
 AW = aloff_wallach(2, 1)
 
@@ -185,6 +187,50 @@ def test_symbolic_witness_trivial_for_matching_axis():
     w = aw_symbolic_go_witness(AW, Q(2), Q(2))
     assert w["axis_compensator_per_a0"] == "0"
     assert w["commutator_vanishes"]
+
+
+def reference_symbolic_witness(aw, x, x4, seed):
+    """The witness with one full bracket per evaluation point."""
+    x, x4 = Q(x), Q(x4)
+    scale = (x4 - x) / x
+    points = [[Q(0)] * 7] + _monomial_points_deg2(7) + [_random_rational_point(7, seed)]
+    commutator_zero = proportional = True
+    for a in points:
+        full = _aw_ambient(a)
+        ax = [c * v for c, v in zip([Q(1), x4] + [x] * 6, full)]
+        t = list(full)
+        t[1] = full[1] + scale * a[0]
+        commutator_zero &= all(not v for v in aw.algebra.bracket(ax, t))
+        proportional &= all(not (ti - ai / x) for ti, ai in zip(t, ax))
+    return {
+        "x": format_scalar(x),
+        "x4": format_scalar(x4),
+        "axis_compensator_per_a0": format_scalar(scale),
+        "beta_per_a0": format_scalar(scale * (aw.l - aw.m) * aw.f),
+        "gamma_per_a0": format_scalar(scale * (aw.m - aw.k) * aw.f),
+        "commutator_vanishes": commutator_zero,
+        "compensated_vector_proportional_to_AX": proportional,
+        "evaluations": len(points),
+    }
+
+
+@pytest.mark.parametrize("pair", [(2, 1), (3, 2), (5, 2)])
+def test_symbolic_witness_matches_the_bracket_loop_without_brackets(pair, monkeypatch):
+    aw = aloff_wallach(*pair)
+    for x, x4 in ((1, 1), (1, 3), (2, 1), (2, 3), (Q(3, 7), Q(5, 2))):
+        for seed in range(3):
+            want = reference_symbolic_witness(aw, x, x4, seed)
+            brackets = []
+
+            def counting(self, u, v, bracket=CompactLieAlgebra.bracket):
+                brackets.append((u, v))
+                return bracket(self, u, v)
+
+            monkeypatch.setattr(CompactLieAlgebra, "bracket", counting)
+            got = aw_symbolic_go_witness(aw, x, x4, seed=seed)
+            monkeypatch.undo()
+            assert got == want and want["evaluations"] == 30
+            assert not brackets, f"{len(brackets)} bracket calls"
 
 
 def test_symbolic_witness_rejects_nonpositive_coefficients():

@@ -19,9 +19,9 @@ positive definite inner product, Jacobi, ad-invariance
 kernel.  ``normalizer`` and the right-isometry kernel in ``metrics``
 rely on ad-invariance: they pair [e_i, u] with w as the
 i-th coordinate of ``lower([u, w])``, without bracketing unit vectors.
-So an algebra built with ``validate=False`` (a Jacobi candidate, or a
-subalgebra in its own basis) is only read for its structure constants,
-Killing form and brackets, and never passed to either.
+So an algebra built with ``validate=False`` (a Jacobi candidate of the
+root-system builder) is only read for its Jacobi residual before it
+validates, and never passed to either.
 """
 
 from __future__ import annotations

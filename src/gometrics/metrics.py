@@ -6,18 +6,19 @@ g(x, y) = <A x, y>.  Here A acts as a_i * Id on the i-th block of an
 orthogonal module decomposition.
 
 Facts that depend only on the decomposition are computed lazily, once
-per ``ModuleDecomposition``: the blocks that the bracket of each pair
-of blocks reaches (``bracket_reach``), the block sums that are
-subalgebras, read off those (``block_sum_indices``, ``block_sums``),
-the exact bracket coordinates in the frame of block bases
-(``frame_brackets``), the Ricci tensor compiled from them as a
-Laurent polynomial in the coefficients (``ricci_polynomial``), the
-exact projection onto each block (``block_projections``), from which an
-exact metric builds its sparse matrix once (``exact_matrix``), and the
-commutation kernel of each coefficient partition (``commutation_kernel``,
-keyed by ``partition_key``).  The kernel depends only on which
-coefficients are equal, so it is exact for float metrics too: a float
-counts as the value it holds.  The right-isometry algebra, adaptedness
+per ``ModuleDecomposition``: one table of exact bracket coordinates in
+the frame of block bases, one bracket per pair of frame vectors
+(``frame_brackets``), from which are read the blocks that the bracket
+of each pair of blocks reaches (``bracket_reach``) and the Ricci tensor
+as a Laurent polynomial in the coefficients (``ricci_polynomial``); the
+block sums that are subalgebras, read off the reach
+(``block_sum_indices``, ``block_sums``); the exact projection onto each
+block (``block_projections``), from which an exact metric builds its
+sparse matrix once (``exact_matrix``); and the commutation kernel of
+each coefficient partition (``commutation_kernel``, keyed by
+``partition_key``).  The kernel depends only on which coefficients are
+equal, so it is exact for float metrics too: a float counts as the
+value it holds.  The right-isometry algebra, adaptedness
 (``is_adapted``, hence ``detect_naturally_reductive``) and
 metric-skewness of an extra generator in ``gocheck`` are all read off
 it, with no tolerance; a decomposition has at most Bell(len(blocks))
@@ -68,16 +69,13 @@ class ModuleDecomposition:
                 for v in q.basis:
                     if self.parent.inner_product(u, v):
                         raise MetricValidationError("blocks are not orthogonal")
-        total = sum(b.dim for b in self.blocks)
-        if self.ambient.dim != total:
+        if self.ambient.dim != self.dim:
             raise MetricValidationError("blocks overlap")
 
     @cached_property
     def ambient(self) -> Subspace:
-        out = self.blocks[0]
-        for b in self.blocks[1:]:
-            out = out.sum(b)
-        return Subspace(parent=self.parent, basis=out.basis, label=self.name or "ambient")
+        vecs = [v for block in self.blocks for v in block.basis]
+        return Subspace.from_vectors(self.parent, vecs, label=self.name or "ambient")
 
     @property
     def dim(self) -> int:
@@ -119,23 +117,36 @@ class ModuleDecomposition:
         return self.right_isometry_kernels[key]
 
     @cached_property
+    def _frame_table(self) -> tuple:
+        """(``frame_brackets``, the pairs a < b whose bracket leaves the
+        ambient span), from one bracket per pair a < b.  A bracket lies in
+        the span exactly when its frame coordinates keep its length:
+        sum_m K[a][b][m]^2 <v_m, v_m> = <[v_a, v_b], [v_a, v_b]>."""
+        L = self.parent
+        vecs = [v for block in self.blocks for v in block.basis]
+        norms = [nv for block in self.blocks for nv in block._norms]
+        n = len(vecs)
+        zeros = (_ZERO,) * n
+        K = [[zeros] * n for _ in range(n)]
+        leaks = set()
+        for a, b in itertools.combinations(range(n), 2):
+            uw = L.bracket(vecs[a], vecs[b])
+            if not any(uw):
+                continue
+            coords = [exact_div(L.inner_product(uw, v), nv) for v, nv in zip(vecs, norms)]
+            K[a][b] = tuple(c or _ZERO for c in coords)
+            K[b][a] = tuple(-c or _ZERO for c in coords)
+            kept = sum((c * c * nv for c, nv in zip(coords, norms) if c), _ZERO)
+            if kept != L.inner_product(uw, uw):
+                leaks.add((a, b))
+        return tuple(tuple(row) for row in K), leaks
+
+    @property
     def frame_brackets(self) -> tuple:
         """K[a][b][m], the coordinate along v_m of [v_a, v_b], exact, in
-        the frame v of concatenated block bases; ``ricci_polynomial`` is
-        compiled from it."""
-        L = self.parent
-        vecs = [b for block in self.blocks for b in block.basis]
-        norms = [L.inner_product(v, v) for v in vecs]
-        out = []
-        for u in vecs:
-            row = []
-            for w in vecs:
-                uw = L.bracket(u, w)
-                row.append(
-                    tuple(exact_div(L.inner_product(uw, v), nv) for v, nv in zip(vecs, norms))
-                )
-            out.append(tuple(row))
-        return tuple(out)
+        the frame v of concatenated block bases; K[b][a] = -K[a][b], and
+        every zero coordinate is one shared zero."""
+        return self._frame_table[0]
 
     @cached_property
     def ricci_polynomial(self) -> dict:
@@ -154,9 +165,9 @@ class ModuleDecomposition:
 
         the G.G sums give terms x_P x_Q / (x_A x_M) and the K.G sum terms
         x_P / x_A."""
-        L, K = self.parent, self.frame_brackets
+        K = self.frame_brackets
         owner = [i for i, block in enumerate(self.blocks) for _ in block.basis]
-        norms = [L.inner_product(v, v) for block in self.blocks for v in block.basis]
+        norms = [nv for block in self.blocks for nv in block._norms]
         n = len(owner)
 
         def monomial(up, down):
@@ -214,21 +225,18 @@ class ModuleDecomposition:
     def bracket_reach(self) -> dict:
         """For each pair i <= j of block indices, in order, the set of
         indices of the blocks that [block i, block j] has a component in,
-        plus None when it leaves the ambient span."""
-        L = self.parent
-        out = {}
-        for i, j in itertools.combinations_with_replacement(range(len(self.blocks)), 2):
-            reach = out[i, j] = set()
-            for u in self.blocks[i].basis:
-                for w in self.blocks[j].basis:
-                    rest = L.bracket(u, w)
-                    for k, block in enumerate(self.blocks):
-                        part = block.project(rest)
-                        if not ela.vec_is_zero(part):
-                            reach.add(k)
-                            rest = [x - y for x, y in zip(rest, part)]
-                    if not ela.vec_is_zero(rest):
-                        reach.add(None)
+        plus None when it leaves the ambient span; read off
+        ``_frame_table``."""
+        K, leaks = self._frame_table
+        owner = [i for i, block in enumerate(self.blocks) for _ in block.basis]
+        pairs = itertools.combinations_with_replacement(range(len(self.blocks)), 2)
+        out = {pair: set() for pair in pairs}
+        # owner is nondecreasing, so a < b gives owner[a] <= owner[b]
+        for a, b in itertools.combinations(range(len(owner)), 2):
+            reach = out[owner[a], owner[b]]
+            reach.update(owner[m] for m, c in enumerate(K[a][b]) if c)
+            if (a, b) in leaks:
+                reach.add(None)
         return out
 
     @cached_property
@@ -257,19 +265,14 @@ class ModuleDecomposition:
     def block_sums(self) -> tuple:
         """The block sums that are subalgebras, as Subspaces, in the order
         of ``block_sum_indices``."""
-        out = []
-        for combo in self.block_sum_indices:
-            s = self.blocks[combo[0]]
-            for i in combo[1:]:
-                s = s.sum(self.blocks[i])
-            out.append(
-                Subspace(
-                    parent=self.parent,
-                    basis=s.basis,
-                    label="+".join(self.blocks[i].label or f"block{i + 1}" for i in combo),
-                )
+        return tuple(
+            Subspace.from_vectors(
+                self.parent,
+                [v for i in combo for v in self.blocks[i].basis],
+                label="+".join(self.blocks[i].label or f"block{i + 1}" for i in combo),
             )
-        return tuple(out)
+            for combo in self.block_sum_indices
+        )
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 ``max_right_isometry_algebra`` keeps one kernel per coefficient partition
 on the decomposition, ``subalgebra_block_sums`` one tuple per
-decomposition, and ``detect_naturally_reductive`` tests adaptedness of a
+decomposition, ``bracket_reach`` reads the decomposition's one bracket
+table, and ``detect_naturally_reductive`` tests adaptedness of a
 metric by kernel containment.  The references below compute each
 fact from scratch for one metric, as the direct definitions do; both
 must give the same exact bases and verdicts.
@@ -77,6 +78,26 @@ def reference_block_sums(decomposition):
     return out
 
 
+def reference_bracket_reach(decomposition):
+    """Each block bracket projected onto every block in turn; what no
+    block takes leaves the ambient span."""
+    L, blocks = decomposition.parent, decomposition.blocks
+    out = {}
+    for i, j in itertools.combinations_with_replacement(range(len(blocks)), 2):
+        reach = out[i, j] = set()
+        for u in blocks[i].basis:
+            for w in blocks[j].basis:
+                rest = L.bracket(u, w)
+                for k, block in enumerate(blocks):
+                    part = block.project(rest)
+                    if not ela.vec_is_zero(part):
+                        reach.add(k)
+                        rest = [x - y for x, y in zip(rest, part)]
+                if not ela.vec_is_zero(rest):
+                    reach.add(None)
+    return out
+
+
 def _g2_corners():
     return [
         tuple(c + s * 1e-6 for c, s in zip(EINSTEIN_SET_3, signs))
@@ -136,6 +157,23 @@ def test_block_sums_are_built_once_and_match_reference():
     for d in decompositions:
         got = [(s.label, s.basis) for s in subalgebra_block_sums(d)]
         assert got == reference_block_sums(d)
+
+
+def test_bracket_reach_matches_the_projection_loop():
+    spanning = [
+        g2_decomposition().blocks,
+        build_target("lie:su3", (Q(1),) * 5)[1].decomposition,
+        build_target("lie:su2", (Q(1),) * 3)[1].decomposition,
+    ]
+    partial = []  # tangent blocks and their u(3) extensions span less than g
+    for k, l in ((2, 1), (5, 2)):
+        aw = aloff_wallach(k, l)
+        partial += [aw.blocks, aw_extended_presentation(aw, Q(1), Q(2), Q(3), Q(4)).blocks]
+    for d in spanning + partial:
+        fresh = ModuleDecomposition(parent=d.parent, blocks=d.blocks, name=d.name)
+        got = fresh.bracket_reach
+        assert list(got.items()) == list(reference_bracket_reach(d).items())
+        assert any(None in reach for reach in got.values()) == (d in partial)
 
 
 def _summary(res):
@@ -248,3 +286,14 @@ def test_bad_extra_generator_raises_on_every_first_direction():
         with pytest.raises(SpaceValidationError, match="metric-skew"):
             go_check(aw.space, metric, formulation="reduced", extra=extra, count=3, exact=True)
     assert metric.skew_generators == {(aw.space, tuple(extra.basis[0]))}
+
+
+def test_reach_and_ricci_make_one_bracket_per_frame_pair(monkeypatch):
+    dec = g2_decomposition()
+    fresh = ModuleDecomposition(parent=dec.algebra, blocks=dec.blocks.blocks)
+    calls = _count_calls(monkeypatch, (CompactLieAlgebra, "bracket"))
+    assert fresh.bracket_reach == dec.blocks.bracket_reach
+    assert fresh.ricci_polynomial == dec.blocks.ricci_polynomial
+    # 14 frame vectors: 91 pairs a < b, where the projection loop and a
+    # full table made 121 + 196
+    assert calls == {"bracket": 91}

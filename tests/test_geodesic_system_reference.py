@@ -287,9 +287,10 @@ def test_integer_decisions_match_the_fraction_system_over_each_field(case):
 
 
 def test_zero_right_hand_side_of_a_compiled_system_skips_elimination(monkeypatch):
+    # built first: validating an algebra eliminates to find its center
+    algebras = [_su3(d) for d in (0, 21)]
     monkeypatch.setattr(ela, "_eliminate", None)  # any elimination would raise
-    for d in (0, 21):
-        L = _su3(d)
+    for L in algebras:
         system = BracketSystem(L, [[Q(1)] + [Q(0)] * 7], None)
         u = [Q(i + 1) for i in range(L.dim)]
         res = solve_linear_feasibility(*system.equations(u, u))

@@ -4,6 +4,7 @@ five-block splitting of the compact exceptional algebra."""
 import itertools
 import json
 import math
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -31,10 +32,11 @@ from gometrics import (
     module_product,
     reproduce_main_theorem,
 )
-from gometrics.metrics import MetricValidationError
+from gometrics import exactlinalg as ela
+from gometrics.metrics import MetricValidationError, ModuleDecomposition
 from gometrics.liealg import CompactLieAlgebra
 from gometrics.scalars import format_scalar
-from gometrics.spaces import _aw_ambient, _killing_profile, _monomial_points_deg2, _random_rational_point
+from gometrics.spaces import _aw_ambient, _killing_profile
 
 AW = aloff_wallach(2, 1)
 
@@ -164,8 +166,7 @@ def test_symbolic_witness_confirms_equal_coefficient_family():
     w = aw_symbolic_go_witness(AW, Q(2), Q(5))
     assert w["commutator_vanishes"]
     assert w["compensated_vector_proportional_to_AX"]
-    # degree-2 spanning family: units, all pairs, zero, a random point
-    assert w["evaluations"] >= 1 + 7 + 21 + 1
+    assert w["compensator_is_isometry"]
 
 
 def test_symbolic_witness_rates_match_geometry():
@@ -189,11 +190,35 @@ def test_symbolic_witness_trivial_for_matching_axis():
     assert w["commutator_vanishes"]
 
 
+def _monomial_points_deg2(n):
+    """Evaluation points that determine a homogeneous quadratic map."""
+    pts = []
+    for i in range(n):
+        e = [Q(0)] * n
+        e[i] = Q(1)
+        pts.append(e)
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = [Q(0)] * n
+            e[i] = Q(1)
+            e[j] = Q(1)
+            pts.append(e)
+    return pts
+
+
+def _random_rational_point(n, seed):
+    r = random.Random(seed)
+    return [Q(r.randint(-9, 9), r.randint(1, 6)) for _ in range(n)]
+
+
 def reference_symbolic_witness(aw, x, x4, seed):
-    """The witness with one full bracket per evaluation point."""
+    """The witness's identity fields with one full bracket per point:
+    [A X, X + W] = 0 is quadratic per coordinate, so zero, the degree-2
+    monomial points and one random rational point (30 in all) prove it."""
     x, x4 = Q(x), Q(x4)
     scale = (x4 - x) / x
     points = [[Q(0)] * 7] + _monomial_points_deg2(7) + [_random_rational_point(7, seed)]
+    assert len(points) == 30
     commutator_zero = proportional = True
     for a in points:
         full = _aw_ambient(a)
@@ -210,27 +235,46 @@ def reference_symbolic_witness(aw, x, x4, seed):
         "gamma_per_a0": format_scalar(scale * (aw.m - aw.k) * aw.f),
         "commutator_vanishes": commutator_zero,
         "compensated_vector_proportional_to_AX": proportional,
-        "evaluations": len(points),
     }
 
 
 @pytest.mark.parametrize("pair", [(2, 1), (3, 2), (5, 2)])
-def test_symbolic_witness_matches_the_bracket_loop_without_brackets(pair, monkeypatch):
+def test_symbolic_witness_matches_the_bracket_loop_with_one_bracket(pair, monkeypatch):
     aw = aloff_wallach(*pair)
+    planes = Subspace.from_indices(aw.algebra, range(2, 8))
     for x, x4 in ((1, 1), (1, 3), (2, 1), (2, 3), (Q(3, 7), Q(5, 2))):
+        kernel = aw.blocks.commutation_kernel((Q(x), Q(x), Q(x), Q(x4)))
+        # the check discriminates: off x = x4, no plane vector is an isometry
+        assert kernel.intersect(planes).dim == (6 if x == x4 else 0)
+        brackets = []
+
+        def counting(self, u, v, bracket=CompactLieAlgebra.bracket):
+            brackets.append((u, v))
+            return bracket(self, u, v)
+
+        monkeypatch.setattr(CompactLieAlgebra, "bracket", counting)
+        got = aw_symbolic_go_witness(aw, x, x4)
+        monkeypatch.undo()
+        # with the partition's kernel cached, the axis against the isotropy
+        assert len(brackets) == 1, f"{len(brackets)} bracket calls"
+        assert got.pop("compensator_is_isometry") is True
         for seed in range(3):
-            want = reference_symbolic_witness(aw, x, x4, seed)
-            brackets = []
+            assert got == reference_symbolic_witness(aw, x, x4, seed)
 
-            def counting(self, u, v, bracket=CompactLieAlgebra.bracket):
-                brackets.append((u, v))
-                return bracket(self, u, v)
 
-            monkeypatch.setattr(CompactLieAlgebra, "bracket", counting)
-            got = aw_symbolic_go_witness(aw, x, x4, seed=seed)
-            monkeypatch.undo()
-            assert got == want and want["evaluations"] == 30
-            assert not brackets, f"{len(brackets)} bracket calls"
+def test_symbolic_witness_reports_an_axis_outside_the_kernel(monkeypatch):
+    # a kernel without the axis: the compensator is no isometry, so
+    # neither the witness nor the classification may confirm the family
+    def planes_only(self, coefficients):
+        return Subspace.from_indices(self.parent, range(2, 8))
+
+    monkeypatch.setattr(ModuleDecomposition, "commutation_kernel", planes_only)
+    w = aw_symbolic_go_witness(AW, Q(1), Q(3))
+    assert w["compensator_is_isometry"] is False
+    assert w["commutator_vanishes"] and w["compensated_vector_proportional_to_AX"]
+    doc = aw_go_classify(2, 1)
+    assert doc["symbolic_go_confirmed"] is False
+    assert not any(w["compensator_is_isometry"] for w in doc["symbolic_go_witnesses"])
 
 
 def test_symbolic_witness_rejects_nonpositive_coefficients():
@@ -341,6 +385,63 @@ def test_killing_profile_of_g2_subalgebras():
     assert _killing_profile(L, dec.block(2)) == (3, 1, True)
     assert _killing_profile(L, dec.su3like) == (8, 2, True)
     assert _killing_profile(L, whole) == (14, 2, True)
+
+
+def reference_killing_profile(L, p):
+    """(dim, rank, negative_definite) with p rebuilt as an algebra in its
+    own basis: definiteness read off its Killing matrix, rank off the
+    kernel of ad of a regular element."""
+    table = []
+    for bi in p.basis:
+        row = []
+        for bj in p.basis:
+            v = L.bracket(bi, bj)
+            if not p.contains(v):
+                raise ValueError("subspace is not closed under the bracket")
+            row.append(p.coefficients(v))
+        table.append(row)
+    sub = CompactLieAlgebra(
+        name=p.label,
+        basis_labels=range(p.dim),
+        structure=table,
+        inner=[[L.inner_product(a, b) for b in p.basis] for a in p.basis],
+        validate=False,
+    )
+    negdef = ela.is_positive_definite([[-x for x in row] for row in sub.killing])
+    for attempt in range(1, 4):
+        g0 = [Q((i + 1) ** attempt) for i in range(p.dim)]
+        null = ela.nullspace(sub.ad_matrix(g0))
+        if all(
+            ela.vec_is_zero(sub.bracket(u, w))
+            for u, w in itertools.combinations(null, 2)
+        ):
+            return p.dim, len(null), negdef
+    raise ValueError("no regular element found for the rank computation")
+
+
+def test_killing_profile_matches_the_killing_matrix_reference():
+    dec = g2_decomposition()
+    L = dec.algebra
+    p = [dec.block(i) for i in range(1, 6)]
+    cases = [
+        dec.torus,
+        p[1],
+        p[0].sum(p[3]),
+        dec.su2su2,
+        dec.su3like,
+        Subspace.from_indices(L, range(L.dim)),
+    ]
+    for sub in cases:
+        assert _killing_profile(L, sub) == reference_killing_profile(L, sub)
+    assert [_killing_profile(L, sub)[1:] for sub in cases[2:4]] == [(1, True), (2, True)]
+
+
+def test_killing_profile_refuses_a_subspace_that_is_not_closed():
+    dec = g2_decomposition()
+    with pytest.raises(ValueError, match="not closed"):
+        _killing_profile(dec.algebra, dec.block(3))
+    with pytest.raises(ValueError, match="not closed"):
+        reference_killing_profile(dec.algebra, dec.block(3))
 
 
 def test_block_bracket_relations():

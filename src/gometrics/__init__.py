@@ -3,6 +3,8 @@ spaces: root systems, compact Lie algebras, block metrics, Ricci curvature,
 and linear feasibility certificates.
 """
 
+from types import ModuleType as _ModuleType
+
 from .gocheck import (
     FeasibilityResult,
     GOCertificate,
@@ -69,65 +71,5 @@ from .spaces import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EINSTEIN_SET_1",
-    "EINSTEIN_SET_2",
-    "EINSTEIN_SET_3",
-    "AloffWallach",
-    "ClassificationRefused",
-    "CompactLieAlgebra",
-    "EinsteinCheck",
-    "FeasibilityResult",
-    "G2Decomposition",
-    "GOCertificate",
-    "MetricEndomorphism",
-    "MetricValidationError",
-    "ModuleDecomposition",
-    "Quad",
-    "ReductiveSpace",
-    "RicciResult",
-    "RootSubsystem",
-    "RootSystem",
-    "Subspace",
-    "Tolerances",
-    "aloff_wallach",
-    "aw_extended_presentation",
-    "aw_go_classify",
-    "aw_metric",
-    "aw_obstruction",
-    "aw_symbolic_go_witness",
-    "build_a1",
-    "build_a2",
-    "build_compact_from_rootsystem",
-    "build_g2",
-    "build_su2",
-    "build_su3",
-    "centralizer",
-    "detect_naturally_reductive",
-    "direct_sum",
-    "einstein_check",
-    "enumerate_closed_symmetric_subsystems",
-    "exact_div",
-    "exact_sqrt",
-    "format_scalar",
-    "g2_block_bracket_csv",
-    "g2_decomposition",
-    "g2_metric",
-    "go_check",
-    "go_feasible_direct",
-    "go_feasible_normal_transitive",
-    "go_feasible_reduced",
-    "is_adapted",
-    "is_exact",
-    "is_subalgebra",
-    "lie_group_go_check",
-    "make_metric",
-    "max_right_isometry_algebra",
-    "module_product",
-    "normalizer",
-    "reproduce_main_theorem",
-    "ricci_left_invariant",
-    "sample_tangent_vectors",
-    "subsystems_equivalent",
-    "weyl_group",
-]
+# the public names the imports above bind, less the submodules they load
+__all__ = [n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType))]

@@ -80,6 +80,8 @@ class RunConfig:
             raise UsageError(f"unknown mode {self.mode!r}")
         if self.format not in ("json", "csv", "text"):
             raise UsageError(f"unknown format {self.format!r}")
+        if self.seed < 0:
+            raise UsageError(f"the seed must be non-negative, got {self.seed}")
         for label, value in (
             ("--tol-feas", self.tol_feas),
             ("--tol-infeas", self.tol_infeas),
@@ -218,23 +220,27 @@ def render_json(doc: dict) -> str:
 
 
 def emit(text: str, output_path: str | None) -> None:
-    """Write the report to stdout, or atomically to output_path."""
+    """Write the report to stdout, or atomically to output_path with the
+    mode a plain write would give it under the current umask."""
     if output_path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(output_path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            umask = os.umask(0)  # reading the umask means setting it
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, output_path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise UsageError(f"cannot write to {output_path!r}: {exc}") from exc
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, output_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def report(config: RunConfig, doc: dict, csv_rows, text_lines) -> None:

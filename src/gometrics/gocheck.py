@@ -37,13 +37,13 @@ orthogonal projection (self-adjoint) and A X in m,
 
 by ad-invariance of the inner product, which
 ``CompactLieAlgebra.validate`` checks.  So A X must lie in the
-complement; ``go_feasible_reduced`` rejects exact input where it does
-not.  The normal-transitive system pairs against the orthogonal
-complement of the isotropy algebra and takes generators from the
-isotropy and from its centralizer in the complement, both computed once
-per space.  A left-invariant metric on the group itself is handled by
-``lie_group_go_check``: coordinates are the pairing and the generators
-span the commutation kernel of the metric.
+complement; ``go_feasible_reduced`` rejects exact X or A X outside it,
+and the normal-transitive form an exact X outside it.  Its system
+pairs against the orthogonal complement of the isotropy algebra and
+takes generators from the isotropy and from its centralizer in the
+complement, both computed once per space.  A left-invariant metric on
+the group itself is handled by ``lie_group_go_check``: coordinates are
+the pairing and the generators span the commutation kernel of the metric.
 """
 
 from __future__ import annotations
@@ -290,6 +290,11 @@ def _geodesic_system(system: BracketSystem, ax, X, tolerances) -> FeasibilityRes
     )
 
 
+def _require_in_complement(space: ReductiveSpace, v, name: str) -> None:
+    if ela.all_exact(v) and not space.in_complement(v):
+        raise ValueError(f"{name} must lie in the complement")
+
+
 def go_feasible_reduced(
     space: ReductiveSpace,
     metric: MetricEndomorphism,
@@ -305,11 +310,9 @@ def go_feasible_reduced(
     memo ``metric.skew_generators``).  X and A X must lie in the
     complement, which is checked for exact input.
     """
-    if ela.all_exact(X) and not space.in_complement(X):
-        raise ValueError("X must lie in the complement")
+    _require_in_complement(space, X, "X")
     ax = metric.apply(X)
-    if ela.all_exact(ax) and not space.in_complement(ax):
-        raise ValueError("A X must lie in the complement")
+    _require_in_complement(space, ax, "A X")
     if extra is not None:
         for u in extra.basis:
             _validate_skew_generator(space, metric, u)
@@ -360,9 +363,11 @@ def go_feasible_normal_transitive(
     W to act by a metric isometry.  With isotropy {0} the centralizer is
     all of g, W = -X always solves, and the verdict would be vacuous, so
     that space is rejected; ``lie_group_go_check`` handles a group.
+    An exact X must lie in the complement, as in ``go_feasible_direct``.
     """
     if space.isotropy.dim == 0:
         raise ValueError("the normal-transitive formulation needs a nonzero isotropy")
+    _require_in_complement(space, X, "X")
     return _geodesic_system(space.normal_transitive_system, metric.apply(X), X, tolerances)
 
 

@@ -15,13 +15,14 @@ the derived subalgebra.  Two builders matter here:
 Every algebra is validated at construction unless ``validate=False`` is
 passed.  Validation checks what can fail (antisymmetry, a symmetric
 positive definite inner product, Jacobi, ad-invariance
-<[x, y], z> = <x, [y, z]>, and lambda); the center is then the Killing
-kernel.  ``normalizer`` and the right-isometry kernel in ``metrics``
-rely on ad-invariance: they pair [e_i, u] with w as the
-i-th coordinate of ``lower([u, w])``, without bracketing unit vectors.
-So an algebra built with ``validate=False`` (a Jacobi candidate of the
-root-system builder) is only read for its Jacobi residual before it
-validates, and never passed to either.
+<[x, y], z> = <x, [y, z]>, read through ``lower``, the one dual vector,
+and lambda); the center is then the Killing kernel.  ``normalizer`` and
+the right-isometry kernel in ``metrics`` rely on ad-invariance: they
+pair [e_i, u] with w as the i-th coordinate of ``lower([u, w])``,
+without bracketing unit vectors.  So an algebra built with
+``validate=False`` (a Jacobi candidate of the root-system builder) is
+only read for its Jacobi residual before it validates, and never passed
+to either.
 """
 
 from __future__ import annotations
@@ -247,7 +248,8 @@ class CompactLieAlgebra:
         # both orders of each nonzero bracket, against every k, cover it.
         zero, low = [Q(0)] * n, {}
         for (i, j), ent in self._sparse.items():
-            low[i, j] = [sum((c * self.inner[m][k] for m, c in ent), Q(0)) for k in range(n)]
+            e = dict(ent)
+            low[i, j] = self.lower([e.get(k, _ZERO) for k in range(n)])
             low[j, i] = [-x for x in low[i, j]]
         for (i, j), row in low.items():
             if any(not _fzero(row[k] + low.get((i, k), zero)[j]) for k in range(n)):
@@ -374,9 +376,10 @@ class BracketSystem:
     compiled once for fixed generators w_j and a pairing: pair(v) lists
     <v, y_i> over a pairing basis y, or the coordinates of v without one.
 
-    The sparse exact tensors S[a, b] = pair([e_a, e_b]) for a < b and
-    G[a] = pair([e_a, w_j]) (entry (i, j)) are read off the structure
-    constants, so that for given u and x
+    The sparse exact tensors S[a, b] = pair([e_a, e_b]) for a < b, read
+    off the structure constants, and G[a] = pair([e_a, w_j]) (entry
+    (i, j)), from ``bracket``, go through one pairing helper, so that for
+    given u and x
 
         M = sum_a u_a G[a],   rhs = -sum_{a<b} (u_a x_b - u_b x_a) S[a, b]
 
@@ -389,30 +392,19 @@ class BracketSystem:
     def __init__(self, L: CompactLieAlgebra, generators, pairing=None):
         self.algebra = L
         self.shape = (L.dim if pairing is None else len(pairing), len(generators))
-        if pairing is None:
-            S = dict(L._sparse)
-        else:
-            forms = [L.lower(y) for y in pairing]
-            S = {}
-            for key, ent in L._sparse.items():
-                col = [
-                    (i, v)
-                    for i, f in enumerate(forms)
-                    if (v := sum((c * f[k] for k, c in ent if f[k]), _ZERO))
-                ]
-                if col:
-                    S[key] = col
-        G = []
-        for a in range(L.dim):
-            acc = {}
-            for j, w in enumerate(generators):
-                for b, wb in enumerate(w):
-                    if not wb or a == b:
-                        continue
-                    sign = wb if a < b else -wb
-                    for i, v in S.get((min(a, b), max(a, b)), ()):
-                        acc[i, j] = acc.get((i, j), 0) + sign * v
-            G.append([(i, j, v) for (i, j), v in acc.items() if v])
+        forms = None if pairing is None else [L.lower(y) for y in pairing]
+
+        def pair(ent):  # pair(v) as nonzero (i, value), from v's (k, v_k)
+            ent = [(k, c) for k, c in ent if c]
+            if forms is None:
+                return ent
+            sums = (sum((c * f[k] for k, c in ent if f[k]), _ZERO) for f in forms)
+            return [(i, v) for i, v in enumerate(sums) if v]
+
+        S = {key: col for key, ent in L._sparse.items() if (col := pair(ent))}
+        units = ([int(k == a) for k in range(L.dim)] for a in range(L.dim))
+        cols = [[pair(enumerate(L.bracket(e_a, w))) for w in generators] for e_a in units]
+        G = [[(i, j, v) for j, col in enumerate(row) for i, v in col] for row in cols]
         values = (e[-1] for ent in [*G, *S.values()] for e in ent)
         self.radicand, self.denominator, p, q = ela.clear_denominators(values)
         pq = iter(zip(p, q))

@@ -6,20 +6,20 @@ g(x, y) = <A x, y>.  Here A acts as a_i * Id on the i-th block of an
 orthogonal module decomposition.
 
 Facts that depend only on the decomposition are computed lazily, once
-per ``ModuleDecomposition``: one table of exact bracket coordinates in
-the frame of block bases, one bracket per pair of frame vectors
-(``frame_brackets``), from which are read the blocks that the bracket
-of each pair of blocks reaches (``bracket_reach``) and the Ricci tensor
-as a Laurent polynomial in the coefficients (``ricci_polynomial``); the
-block sums that are subalgebras, read off the reach
-(``block_sum_indices``, ``block_sums``); the exact projection onto each
-block (``block_projections``), from which an exact metric builds its
-sparse matrix once (``exact_matrix``); and the commutation kernel of
-each coefficient partition (``commutation_kernel``, keyed by
-``partition_key``).  The kernel depends only on which coefficients are
-equal, so it is exact for float metrics too: a float counts as the
-value it holds.  The right-isometry algebra, adaptedness
-(``is_adapted``, hence ``detect_naturally_reductive``) and
+per ``ModuleDecomposition``: the block of each vector of the frame of
+block bases (``frame_owner``); one table of exact bracket coordinates in
+that frame, one bracket per pair of frame vectors (``frame_brackets``),
+from which are read the blocks that the bracket of each pair of blocks
+reaches (``bracket_reach``), the Ricci tensor as a Laurent polynomial in
+the coefficients (``ricci_polynomial``) and the rows of the commutation
+kernel of each coefficient partition (``commutation_kernel``, keyed by
+``partition_key``); the block sums that are subalgebras, read off the
+reach (``block_sum_indices``, ``block_sums``); and the exact projection
+onto each block (``block_projections``), from which an exact metric
+builds its sparse matrix once (``exact_matrix``).  The kernel depends
+only on which coefficients are equal, so it is exact for float metrics
+too: a float counts as the value it holds.  The right-isometry algebra,
+adaptedness (``is_adapted``, hence ``detect_naturally_reductive``) and
 metric-skewness of an extra generator in ``gocheck`` are all read off
 it, with no tolerance; a decomposition has at most Bell(len(blocks))
 partitions.
@@ -82,6 +82,13 @@ class ModuleDecomposition:
         return sum(b.dim for b in self.blocks)
 
     @cached_property
+    def frame_owner(self) -> tuple:
+        """The block of each frame vector.  The frame, the concatenated
+        block bases, is ``ambient.basis``: the blocks are orthogonal, so
+        Gram-Schmidt keeps it, and ``ambient._norms`` holds each <v, v>."""
+        return tuple(i for i, block in enumerate(self.blocks) for _ in block.basis)
+
+    @cached_property
     def right_isometry_kernels(self) -> dict:
         """Commutation kernels by ``partition_key``, filled by
         ``commutation_kernel``."""
@@ -94,23 +101,17 @@ class ModuleDecomposition:
         For u in a block with coefficient a, A proj[W, u] - proj[W, A u]
         is the sum of (a_k - a) times the component of [W, u] in block k,
         so it vanishes exactly when <[W, u], w> = <W, [u, w]> = 0 for every
-        w in a block with another coefficient.  Those rows, over u and w
-        in different partition classes, cut out the kernel; the rows of a
-        pair (w, u) are those of (u, w) negated, so one order suffices.
-        When the blocks span g the kernel is the right-isometry algebra.
+        w in a block with another coefficient.  Those rows, over frame
+        vectors u and w in different partition classes, cut out the
+        kernel; the rows of a pair (w, u) are those of (u, w) negated, so
+        the rows ``_frame_table`` keeps for a < b give them all.  When the
+        blocks span g the kernel is the right-isometry algebra.
         """
         key = partition_key(coefficients)
         if key not in self.right_isometry_kernels:
             L = self.parent
-            classes: dict = {}
-            for k, block in zip(key, self.blocks):
-                classes.setdefault(k, []).extend(block.basis)
-            rows = [
-                L.lower(L.bracket(u, w))
-                for ca, cb in itertools.combinations(classes.values(), 2)
-                for u in ca
-                for w in cb
-            ]
+            cls = [key[i] for i in self.frame_owner]
+            rows = [row for (a, b), row in self._frame_table[2].items() if cls[a] != cls[b]]
             sub = solution_space(L, rows, label="max-right-isometry")
             assert self.dim < L.dim or is_subalgebra(L, sub)
             self.right_isometry_kernels[key] = sub
@@ -119,27 +120,29 @@ class ModuleDecomposition:
     @cached_property
     def _frame_table(self) -> tuple:
         """(``frame_brackets``, the pairs a < b whose bracket leaves the
-        ambient span), from one bracket per pair a < b.  A bracket lies in
-        the span exactly when its frame coordinates keep its length:
+        ambient span, {(a, b): ``lower([v_a, v_b])``} for a < b with a
+        nonzero bracket: the rows of ``commutation_kernel``), from one
+        bracket per pair a < b.  A bracket lies in the span exactly when
+        its frame coordinates keep its length:
         sum_m K[a][b][m]^2 <v_m, v_m> = <[v_a, v_b], [v_a, v_b]>."""
         L = self.parent
-        vecs = [v for block in self.blocks for v in block.basis]
-        norms = [nv for block in self.blocks for nv in block._norms]
+        vecs, norms = self.ambient.basis, self.ambient._norms
         n = len(vecs)
         zeros = (_ZERO,) * n
         K = [[zeros] * n for _ in range(n)]
-        leaks = set()
+        leaks, rows = set(), {}
         for a, b in itertools.combinations(range(n), 2):
             uw = L.bracket(vecs[a], vecs[b])
             if not any(uw):
                 continue
+            rows[a, b] = tuple(c or _ZERO for c in L.lower(uw))
             coords = [exact_div(L.inner_product(uw, v), nv) for v, nv in zip(vecs, norms)]
             K[a][b] = tuple(c or _ZERO for c in coords)
             K[b][a] = tuple(-c or _ZERO for c in coords)
             kept = sum((c * c * nv for c, nv in zip(coords, norms) if c), _ZERO)
             if kept != L.inner_product(uw, uw):
                 leaks.add((a, b))
-        return tuple(tuple(row) for row in K), leaks
+        return tuple(tuple(row) for row in K), leaks, rows
 
     @property
     def frame_brackets(self) -> tuple:
@@ -165,9 +168,7 @@ class ModuleDecomposition:
 
         the G.G sums give terms x_P x_Q / (x_A x_M) and the K.G sum terms
         x_P / x_A."""
-        K = self.frame_brackets
-        owner = [i for i, block in enumerate(self.blocks) for _ in block.basis]
-        norms = [nv for block in self.blocks for nv in block._norms]
+        K, owner, norms = self.frame_brackets, self.frame_owner, self.ambient._norms
         n = len(owner)
 
         def monomial(up, down):
@@ -211,8 +212,7 @@ class ModuleDecomposition:
         out = []
         for block in self.blocks:
             rows = [defaultdict(int) for _ in range(L.dim)]
-            for b in block.basis:
-                nb = L.inner_product(b, b)
+            for b, nb in zip(block.basis, block._norms):
                 form = L.lower(b)
                 for r, br in enumerate(b):
                     for c, fc in enumerate(form):
@@ -227,8 +227,8 @@ class ModuleDecomposition:
         indices of the blocks that [block i, block j] has a component in,
         plus None when it leaves the ambient span; read off
         ``_frame_table``."""
-        K, leaks = self._frame_table
-        owner = [i for i, block in enumerate(self.blocks) for _ in block.basis]
+        K, leaks, _ = self._frame_table
+        owner = self.frame_owner
         pairs = itertools.combinations_with_replacement(range(len(self.blocks)), 2)
         out = {pair: set() for pair in pairs}
         # owner is nondecreasing, so a < b gives owner[a] <= owner[b]
@@ -361,6 +361,14 @@ def partition_key(coefficients) -> tuple:
     return tuple(first.setdefault(a, i) for i, a in enumerate(coefficients))
 
 
+def check_covers(L: CompactLieAlgebra, metric: MetricEndomorphism) -> None:
+    """Raise unless the metric is on L and its blocks span all of L."""
+    if L is not metric.parent:
+        raise MetricValidationError("metric belongs to a different algebra")
+    if metric.decomposition.dim != L.dim:
+        raise MetricValidationError("metric must cover the whole algebra")
+
+
 def max_right_isometry_algebra(L: CompactLieAlgebra, metric: MetricEndomorphism) -> Subspace:
     """Largest subalgebra whose adjoint action commutes with A.
 
@@ -373,10 +381,7 @@ def max_right_isometry_algebra(L: CompactLieAlgebra, metric: MetricEndomorphism)
     ``commutation_kernel``, so metrics with the same partition share the
     same Subspace.
     """
-    if L is not metric.parent:
-        raise MetricValidationError("metric belongs to a different algebra")
-    if metric.decomposition.dim != L.dim:
-        raise MetricValidationError("metric must cover the whole algebra")
+    check_covers(L, metric)
     return metric.decomposition.commutation_kernel(metric.coefficients)
 
 
@@ -423,9 +428,8 @@ def detect_naturally_reductive(
     are exhaustive, because the complement of any certifying subalgebra
     must be a union of eigenspaces of A.
     """
+    check_covers(L, metric)
     dec = metric.decomposition
-    if dec.dim != L.dim:
-        raise MetricValidationError("metric must cover the whole algebra")
     coeffs = metric.coefficients
     sums = subalgebra_block_sums(dec)
     for checked, (held, h) in enumerate(zip(dec.block_sum_indices, sums), start=1):

@@ -19,7 +19,7 @@ from fractions import Fraction as Q
 import numpy as np
 
 from .liealg import CompactLieAlgebra
-from .metrics import MetricEndomorphism, MetricValidationError
+from .metrics import MetricEndomorphism, check_covers
 from .scalars import Quad, exact_div
 
 
@@ -51,7 +51,7 @@ def _exact_ricci(L: CompactLieAlgebra, metric: MetricEndomorphism):
     float metric gets the exact tensor of its values."""
     dec = metric.decomposition
     x = [a if isinstance(a, Quad) else Q(a) for a in metric.coefficients]
-    grams = [xa * L.inner_product(v, v) for xa, block in zip(x, dec.blocks) for v in block.basis]
+    grams = [x[i] * nv for i, nv in zip(dec.frame_owner, dec.ambient._norms)]
     monomials = {}
     for e in {e for terms in dec.ricci_polynomial.values() for e in terms}:
         # multiply and divide: Quad has no **
@@ -69,10 +69,7 @@ def _exact_ricci(L: CompactLieAlgebra, metric: MetricEndomorphism):
 
 def ricci_left_invariant(L: CompactLieAlgebra, metric: MetricEndomorphism) -> RicciResult:
     """Ricci tensor of the left-invariant metric, on the whole group."""
-    if L is not metric.parent:
-        raise MetricValidationError("metric belongs to a different algebra")
-    if metric.decomposition.dim != L.dim:
-        raise MetricValidationError("metric must cover the whole algebra")
+    check_covers(L, metric)
     n = L.dim
     ric, grams = _exact_ricci(L, metric)
     root = np.array([float(g) ** 0.5 for g in grams])

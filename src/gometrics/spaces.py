@@ -289,12 +289,10 @@ def aw_go_classify(k: int, l: int, seed: int = 0, tolerances: Tolerances | None 
     tol = tolerances or Tolerances()
     grid_entries = []
     all_infeasible = True
+    directions = [_aw_ambient(_PROBE)]
+    directions += sample_tangent_vectors(aw.blocks, 1, seed=seed, exact=True)
     for coeffs in _NON_GO_GRID:
         metric = aw_metric(aw, *coeffs)
-        directions = [_aw_ambient(_PROBE)]
-        directions += sample_tangent_vectors(
-            aw.blocks, 1, seed=seed, exact=True
-        )
         checks = []
         for X in directions:
             res = go_feasible_normal_transitive(aw.space, metric, X, tolerances=tol)

@@ -287,6 +287,35 @@ def test_out_write_is_atomic_on_bad_directory(tmp_path):
     assert not missing.exists()
 
 
+def test_out_onto_a_directory_exits_2_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "reports"
+    target.mkdir()
+    proc = run_cli("roots", "g2", "--out", str(target))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: cannot write to")
+    assert [p.name for p in tmp_path.iterdir()] == ["reports"]
+    assert list(target.iterdir()) == []
+
+
+def test_out_report_gets_the_mode_a_plain_write_gives(tmp_path, capsys):
+    path = tmp_path / "roots.json"
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["roots", "a2", "--out", str(path)]) == 0
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == 0o644
+
+
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], {}), ([], {"GOMETRICS_SEED": "-1"})])
+def test_negative_seed_exits_2(flag, env, monkeypatch, capsys):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert cli.main(["go-check", "--space", "aw:2,1", "--metric", "1,2,3,1", *flag]) == 2
+    assert cli.main(["reproduce", "aw-classification", *flag]) == 2
+    assert "the seed must be non-negative, got -1" in capsys.readouterr().err
+
+
 def test_su3_target_needs_five_coefficients():
     bad = run_cli("go-check", "--space", "lie:su3", "--metric", "1,1,1,1")
     assert bad.returncode == 2

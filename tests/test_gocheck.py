@@ -346,6 +346,16 @@ def test_direct_requires_complement_membership():
         go_feasible_direct(aw.space, metric, bad)
 
 
+def test_normal_transitive_requires_complement_membership():
+    # A Z = 0 on the isotropy line Z, so each of its systems reads 0 = 0:
+    # the default form would call this non-GO metric go-consistent
+    aw = aloff_wallach(2, 1)
+    metric = aw_metric(aw, Q(1), Q(2), Q(3), Q(1))
+    Z = list(aw.space.isotropy.basis[0])
+    with pytest.raises(ValueError, match="X must lie in the complement"):
+        go_check(aw.space, metric, samples=[Z])
+
+
 def test_direct_requires_metric_image_in_complement():
     # blocks e1 +- e2 mix the isotropy line e1 into the metric, so A e2
     # leaves the complement and the geodesic system is not defined

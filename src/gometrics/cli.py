@@ -220,21 +220,28 @@ def render_json(doc: dict) -> str:
 
 
 def emit(text: str, output_path: str | None) -> None:
-    """Write the report to stdout, or atomically to output_path with the
-    mode a plain write would give it under the current umask."""
+    """Write the report to stdout, or to output_path: straight into an
+    existing file that is not regular (a FIFO or a device), else
+    atomically, with the mode a plain write would give it under the
+    current umask.  A symlink is followed, so its target gets the report
+    and the link stays."""
     if output_path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(output_path)) or "."
+    path = os.path.realpath(output_path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w") as fh:
+                fh.write(text)
+            return
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
             umask = os.umask(0)  # reading the umask means setting it
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, output_path)
+            os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -319,9 +326,8 @@ def cmd_go_check(args, config: RunConfig) -> int:
     ]
     for i, entry in enumerate(doc["checks"]):
         residual = entry["residual_rel"]
-        rows.append((i, entry["status"], "" if residual is None else repr(residual), entry["method"]))
-        shown = "exact" if residual is None else f"{residual:.3e}"
-        lines.append(f"  sample {i}: {entry['status']} residual {shown}")
+        rows.append((i, entry["status"], repr(residual), entry["method"]))
+        lines.append(f"  sample {i}: {entry['status']} residual {residual:.3e}")
     report(config, doc, rows, lines)
     return _VERDICT_EXITS[cert.verdict]
 

@@ -1,17 +1,17 @@
 """Exact dense linear algebra over Q and Q(sqrt(D)).
 
 Matrices are lists of row lists whose entries are int, Fraction, or Quad;
-all irrational Quad entries of one matrix share one radicand D.  One
-Gauss-Jordan core, ``_eliminate``, runs fraction-free (in the spirit of
-Bareiss 1968) on integer pairs p + q*sqrt(D), scaling rows by integers
-and dividing each row by its content.  ``rref``, ``solve`` and
-``nullspace`` clear each row's denominators (``pair_rows``) before it;
-a caller that already holds integer pairs, such as a compiled geodesic
-system, passes its augmented rows to ``solve_augmented``.  Entries
-become Fraction and Quad only at the end.  Zero tests are exact, so
-ranks and solvability verdicts are certificates, not numerical
-estimates; a float entry is refused with TypeError, two radicands with
-ValueError.
+all irrational Quad entries of one matrix share one radicand D.  Every
+exact elimination goes through one Gauss-Jordan core, ``_eliminate``,
+which runs fraction-free (in the spirit of Bareiss 1968) on integer
+pairs p + q*sqrt(D), scaling rows by integers and dividing each row by
+its content.  ``rref``, ``solve`` and ``nullspace`` clear each row's
+denominators (``pair_rows``) before it; a caller that already holds
+integer pairs, such as a compiled geodesic system, passes its augmented
+rows to ``solve_augmented``.  Entries become Fraction and Quad only at
+the end.  Zero tests are exact, so ranks and solvability verdicts are
+certificates, not numerical estimates; a float entry is refused with
+TypeError, two radicands with ValueError.
 """
 
 from __future__ import annotations
@@ -186,26 +186,6 @@ def nullspace(m):
             v[c] = -red[r][f]
         basis.append(v)
     return basis
-
-
-def is_positive_definite(m) -> bool:
-    """Exact test that the symmetric matrix m is positive definite.
-
-    Symmetric elimination without row exchanges: m is positive definite
-    exactly when every pivot is positive (Sylvester's criterion).
-    """
-    work = [list(row) for row in m]  # exact_div keeps int entries exact
-    n = len(work)
-    for t in range(n):
-        pivot = work[t][t]
-        if not pivot > 0:
-            return False
-        for r in range(t + 1, n):
-            factor = exact_div(work[r][t], pivot)
-            if factor:
-                for s in range(t, n):
-                    work[r][s] -= factor * work[t][s]
-    return True
 
 
 def matvec(m, v):

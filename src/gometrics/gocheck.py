@@ -464,9 +464,7 @@ class GOCertificate:
                     "method": r.method,
                     "sigma_ratio": r.sigma_ratio,
                     "witness": fmt_vec(r.witness) if r.witness is not None else None,
-                    "detail": {
-                        k: v for k, v in r.detail.items()
-                    },
+                    "detail": dict(r.detail),
                 }
             )
         return {

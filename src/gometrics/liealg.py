@@ -1,28 +1,25 @@
 """Compact Lie algebras with exact structure constants.
 
 An algebra is stored as a basis, a structure-constant tensor over
-Q(sqrt(D)), an ad-invariant positive-definite inner product, and the
-factor lambda relating that inner product to minus the Killing form on
-the derived subalgebra.  Two builders matter here:
+Q(sqrt(D)), an ad-invariant inner product that is diagonal with
+positive entries in that basis, and the factor lambda relating that
+inner product to minus the Killing form on the derived subalgebra.  Two
+builders matter here:
 
 * ``build_su3(k, l)`` realizes su(3) abstractly in the 8-element basis
   (Z, X0, X1..X6) attached to the weighted circle with weights
   (k, l, -k-l); the 3x3 matrix realization is used only by test oracles.
 * ``build_compact_from_rootsystem`` constructs the compact form of the
-  algebra of a rank <= 2 root system from Chevalley data, fixing the
-  cross-plane signs by a deterministic Jacobi-validated completion.
+  algebra of a rank <= 2 root system from Chevalley data, with every
+  undetermined sign +1.
 
-Every algebra is validated at construction unless ``validate=False`` is
-passed.  Validation checks what can fail (antisymmetry, a symmetric
-positive definite inner product, Jacobi, ad-invariance
-<[x, y], z> = <x, [y, z]>, read through ``lower``, the one dual vector,
-and lambda); the center is then the Killing kernel.  ``normalizer`` and
-the right-isometry kernel in ``metrics`` rely on ad-invariance: they
-pair [e_i, u] with w as the i-th coordinate of ``lower([u, w])``,
-without bracketing unit vectors.  So an algebra built with
-``validate=False`` (a Jacobi candidate of the root-system builder) is
-only read for its Jacobi residual before it validates, and never passed
-to either.
+Every algebra is validated at construction.  Validation checks what can
+fail (antisymmetry, a diagonal inner product with positive entries,
+Jacobi, ad-invariance <[x, y], z> = <x, [y, z]>, read through
+``lower``, the one dual vector, and lambda); the center is then the
+Killing kernel.  ``normalizer`` and the right-isometry kernel in
+``metrics`` rely on ad-invariance: they pair [e_i, u] with w as the
+i-th coordinate of ``lower([u, w])``, without bracketing unit vectors.
 """
 
 from __future__ import annotations
@@ -42,10 +39,6 @@ from .scalars import exact_div, exact_sqrt, squarefree_decompose
 _ZERO = Q(0)
 
 
-def _fzero(x) -> bool:
-    return not x
-
-
 class AlgebraValidationError(ValueError):
     pass
 
@@ -54,9 +47,9 @@ class CompactLieAlgebra:
     """Finite-dimensional compact (reductive) Lie algebra over Q(sqrt(D)).
 
     structure[i][j][k] is the e_k coefficient of [e_i, e_j].  The inner
-    product must be ad-invariant and positive definite; on the derived
-    subalgebra it equals lambda_minus_b * (-Killing) when that factor is
-    recorded.
+    product must be ad-invariant, diagonal and positive definite; on the
+    derived subalgebra it equals lambda_minus_b * (-Killing) when that
+    factor is recorded.
     """
 
     def __init__(
@@ -68,7 +61,6 @@ class CompactLieAlgebra:
         lambda_minus_b=None,
         cartan_indices=(),
         field_d: int | None = None,
-        validate: bool = True,
     ):
         self.name = name
         self.basis_labels = tuple(basis_labels)
@@ -80,8 +72,7 @@ class CompactLieAlgebra:
         self.lambda_minus_b = lambda_minus_b
         self.cartan_indices = tuple(cartan_indices)
         self.field_d = field_d
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- basic tensors ------------------------------------------------
 
@@ -95,7 +86,7 @@ class CompactLieAlgebra:
                 ent = [
                     (k, self.structure[i][j][k])
                     for k in range(n)
-                    if not _fzero(self.structure[i][j][k])
+                    if self.structure[i][j][k]
                 ]
                 if ent:
                     out[(i, j)] = ent
@@ -120,7 +111,7 @@ class CompactLieAlgebra:
                 for a in range(n):
                     for k, cik in self._basis_bracket(i, a):
                         cj = self.structure[j][k][a]
-                        if not _fzero(cj):
+                        if cj:
                             tot = tot + cik * cj
                 B[i][j] = tot
                 B[j][i] = tot
@@ -142,13 +133,9 @@ class CompactLieAlgebra:
 
     @cached_property
     def inner_diag(self):
-        """Diagonal of the inner product; None when it is not diagonal."""
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                if i != j and not _fzero(self.inner[i][j]):
-                    return None
-        return tuple(self.inner[i][i] for i in range(n))
+        """Diagonal of the inner product, which ``validate`` requires to
+        be diagonal."""
+        return tuple(self.inner[i][i] for i in range(self.dim))
 
     # -- operations ----------------------------------------------------
 
@@ -162,7 +149,7 @@ class CompactLieAlgebra:
                 if not ((xi and yj) or (xj and yi)):
                     continue
                 f = xi * yj - xj * yi
-                if not _fzero(f):
+                if f:
                     for k, c in ent:
                         out[k] = out[k] + f * c
             return out
@@ -175,35 +162,21 @@ class CompactLieAlgebra:
         n = self.dim
         m = [[Q(0)] * n for _ in range(n)]
         for (i, j), ent in self._sparse.items():
-            if not _fzero(x[i]):
+            if x[i]:
                 for k, c in ent:
                     m[k][j] = m[k][j] + x[i] * c
-            if not _fzero(x[j]):
+            if x[j]:
                 for k, c in ent:
                     m[k][i] = m[k][i] - x[j] * c
         return m
 
     def inner_product(self, x, y):
-        diag = self.inner_diag
-        if diag is not None:
-            # zero factors are common (sparse brackets); skip their products
-            return sum((a * d * b for a, d, b in zip(x, diag, y) if a and b), Q(0))
-        return sum(
-            (
-                x[i] * self.inner[i][j] * y[j]
-                for i in range(self.dim)
-                for j in range(self.dim)
-                if x[i] and y[j]
-            ),
-            Q(0),
-        )
+        # zero factors are common (sparse brackets); skip their products
+        return sum((a * d * b for a, d, b in zip(x, self.inner_diag, y) if a and b), Q(0))
 
     def lower(self, v):
         """Coordinates of the linear form x -> <x, v>."""
-        diag = self.inner_diag
-        if diag is not None:
-            return [d * x for d, x in zip(diag, v)]
-        return ela.matvec(self.inner, v)
+        return [d * x for d, x in zip(self.inner_diag, v)]
 
     @cached_property
     def center(self) -> "Subspace":
@@ -224,7 +197,7 @@ class CompactLieAlgebra:
                         for m, cab in self._basis_bracket(a, b):
                             for r, cmc in self._basis_bracket(m, c):
                                 acc[r] = acc.get(r, Q(0)) + cab * cmc
-                    if any(not _fzero(v) for v in acc.values()):
+                    if any(acc.values()):
                         bad.append((i, j, k, acc))
         return bad
 
@@ -234,12 +207,12 @@ class CompactLieAlgebra:
             raise AlgebraValidationError("tensor dimensions do not match basis")
         for i in range(n):
             for j in range(n):
-                if not _fzero(self.inner[i][j] - self.inner[j][i]):
-                    raise AlgebraValidationError("inner product is not symmetric")
+                if i != j and self.inner[i][j]:
+                    raise AlgebraValidationError("inner product is not diagonal")
                 for k in range(n):
-                    if not _fzero(self.structure[i][j][k] + self.structure[j][i][k]):
+                    if self.structure[i][j][k] + self.structure[j][i][k]:
                         raise AlgebraValidationError("structure tensor not antisymmetric")
-        if not ela.is_positive_definite(self.inner):
+        if not all(x > 0 for x in self.inner_diag):
             raise AlgebraValidationError("inner product not positive definite")
         if self.jacobi_residual():
             raise AlgebraValidationError("Jacobi identity fails")
@@ -252,7 +225,7 @@ class CompactLieAlgebra:
             low[i, j] = self.lower([e.get(k, _ZERO) for k in range(n)])
             low[j, i] = [-x for x in low[i, j]]
         for (i, j), row in low.items():
-            if any(not _fzero(row[k] + low.get((i, k), zero)[j]) for k in range(n)):
+            if any(row[k] + low.get((i, k), zero)[j] for k in range(n)):
                 raise AlgebraValidationError("inner product is not ad-invariant")
         # ad x is now skew, so B(x, x) = -|ad x|^2: ker B is the center and
         # [g, g] its orthogonal complement (Helgason 1978, ch. II), and
@@ -262,7 +235,7 @@ class CompactLieAlgebra:
             forms = [(self.lower(c), nc) for c, nc in zip(z.basis, z._norms)]
             for i, j in itertools.combinations_with_replacement(range(n), 2):
                 on_z = sum((exact_div(f[i] * f[j], nc) for f, nc in forms), _ZERO)
-                if not _fzero(self.inner[i][j] + lam * K[i][j] - on_z):
+                if self.inner[i][j] + lam * K[i][j] - on_z:
                     raise AlgebraValidationError(
                         "inner product is not lambda * (-Killing) on [g,g]"
                     )
@@ -321,7 +294,7 @@ class Subspace:
         out = [Q(0)] * self.parent.dim
         for b, nb in zip(self.basis, self._norms):
             c = exact_div(self.parent.inner_product(v, b), nb)
-            if not _fzero(c):
+            if c:
                 out = [x + c * y for x, y in zip(out, b)]
         return out
 
@@ -584,9 +557,10 @@ def build_compact_from_rootsystem(
 
     Bracket relations: [H, U_g] = <g, H> V_g, [H, V_g] = -<g, H> U_g,
     [U_g, V_g] = g, with <.,.> = -B.  Cross-plane constants come from
-    Chevalley structure constants N = +-(p+1); the undetermined signs on
-    sum-pairs of positive roots are fixed by trying sign vectors in a
-    deterministic order and keeping the first that satisfies Jacobi.
+    Chevalley structure constants N = +-(p+1), with sign + on every pair
+    of positive roots taken in the order of ``rs.positive``; for the rank
+    <= 2 systems here that choice satisfies Jacobi, which the constructor
+    checks.
     """
     pos = list(rs.positive)
     npos = len(pos)
@@ -625,74 +599,59 @@ def build_compact_from_rootsystem(
         """Coordinates of the root vector g in the orthogonal t-basis."""
         return [rs.inner(g, t) / rs.inner(t, t) for t in tbasis]
 
-    sum_pairs = []  # (i, j) with pos[i] + pos[j] a root, i < j
+    def chevalley_n(a, b):
+        """N_{a,b} = +-(p + 1) for positive a, b with a + b a root, with
+        the sign + when a precedes b, so that N_{b,a} = -N_{a,b}."""
+        if idx_of[a] < idx_of[b]:
+            return Q(_chevalley_p(rs, a, b) + 1)
+        return -Q(_chevalley_p(rs, b, a) + 1)
+
+    c = [[[Q(0)] * dim for _ in range(dim)] for _ in range(dim)]
+
+    def add(i, j, k, coeff):
+        c[i][j][k] += coeff
+        c[j][i][k] -= coeff
+
+    for g in pos:
+        gu, gv = u_idx(g), v_idx(g)
+        for ti in range(r):
+            rate = rs.inner(g, tbasis[ti])
+            add(ti, gu, gv, rate)
+            add(ti, gv, gu, -rate)
+        for ti, coeff in enumerate(t_coords(g)):
+            add(gu, gv, ti, coeff)
     for i, j in itertools.combinations(range(npos), 2):
-        s = tuple(x + y for x, y in zip(pos[i], pos[j]))
+        a, b = pos[i], pos[j]
+        na, nb = n_of[a], n_of[b]
+        au, av, bu, bv = u_idx(a), v_idx(a), u_idx(b), v_idx(b)
+        s = tuple(x + y for x, y in zip(a, b))
         if rs.is_root(s):
-            sum_pairs.append((i, j))
-
-    def assemble(signs):
-        """Sparse bracket table {(i, j): [(k, coeff), ...]} for the signs."""
-        Npos = {}
-        for (i, j), eps in zip(sum_pairs, signs):
-            a, b = pos[i], pos[j]
-            val = Q(eps) * (_chevalley_p(rs, a, b) + 1)
-            Npos[(a, b)] = val
-            Npos[(b, a)] = -val
-        table: dict = {}
-
-        def add(i, j, k, coeff):
-            if _fzero(coeff):
-                return
-            if i > j:
-                i, j, coeff = j, i, -coeff
-            table.setdefault((i, j), {})
-            table[(i, j)][k] = table[(i, j)].get(k, Q(0)) + coeff
-
-        for g in pos:
-            gu, gv = u_idx(g), v_idx(g)
-            for ti in range(r):
-                rate = rs.inner(g, tbasis[ti])
-                add(ti, gu, gv, rate)
-                add(ti, gv, gu, -rate)
-            for ti, coeff in enumerate(t_coords(g)):
-                add(gu, gv, ti, coeff)
-        for i, j in itertools.combinations(range(npos), 2):
-            a, b = pos[i], pos[j]
-            na, nb = n_of[a], n_of[b]
-            au, av, bu, bv = u_idx(a), v_idx(a), u_idx(b), v_idx(b)
-            s = tuple(x + y for x, y in zip(a, b))
-            if rs.is_root(s):
-                S = na * nb * Npos[(a, b)] / n_of[s]
-                su, sv = u_idx(s), v_idx(s)
-                add(au, bu, su, S)
-                add(av, bv, su, -S)
-                add(au, bv, sv, S)
-                add(av, bu, sv, S)
-            diff = tuple(x - y for x, y in zip(a, b))
-            if rs.is_root(diff):
-                if diff in idx_of:  # a - b is positive
-                    g = diff
-                    Nab = -(rs.inner(g, g) / rs.inner(a, a)) * Npos[(b, g)]
-                    D = na * nb * Nab / n_of[g]
-                    gu, gv = u_idx(g), v_idx(g)
-                    add(au, bu, gu, -D)
-                    add(av, bv, gu, -D)
-                    add(au, bv, gv, D)
-                    add(av, bu, gv, -D)
-                else:  # b - a is positive
-                    g = tuple(-x for x in diff)
-                    Nab = (rs.inner(g, g) / rs.inner(b, b)) * Npos[(g, a)]
-                    D = na * nb * Nab / n_of[g]
-                    gu, gv = u_idx(g), v_idx(g)
-                    add(au, bu, gu, D)
-                    add(av, bv, gu, D)
-                    add(au, bv, gv, D)
-                    add(av, bu, gv, -D)
-        return {
-            key: [(k, v) for k, v in sorted(comps.items()) if not _fzero(v)]
-            for key, comps in table.items()
-        }
+            S = na * nb * chevalley_n(a, b) / n_of[s]
+            su, sv = u_idx(s), v_idx(s)
+            add(au, bu, su, S)
+            add(av, bv, su, -S)
+            add(au, bv, sv, S)
+            add(av, bu, sv, S)
+        diff = tuple(x - y for x, y in zip(a, b))
+        if rs.is_root(diff):
+            if diff in idx_of:  # a - b is positive
+                g = diff
+                Nab = -(rs.inner(g, g) / rs.inner(a, a)) * chevalley_n(b, g)
+                D = na * nb * Nab / n_of[g]
+                gu, gv = u_idx(g), v_idx(g)
+                add(au, bu, gu, -D)
+                add(av, bv, gu, -D)
+                add(au, bv, gv, D)
+                add(av, bu, gv, -D)
+            else:  # b - a is positive
+                g = tuple(-x for x in diff)
+                Nab = (rs.inner(g, g) / rs.inner(b, b)) * chevalley_n(g, a)
+                D = na * nb * Nab / n_of[g]
+                gu, gv = u_idx(g), v_idx(g)
+                add(au, bu, gu, D)
+                add(av, bv, gu, D)
+                add(au, bv, gv, D)
+                add(av, bu, gv, -D)
 
     inner = [[Q(0)] * dim for _ in range(dim)]
     for ti in range(r):
@@ -706,30 +665,15 @@ def build_compact_from_rootsystem(
         lab = rs.label(g)
         labels.extend([f"U[{lab}]", f"V[{lab}]"])
 
-    for signs in itertools.product((1, -1), repeat=len(sum_pairs)):
-        c = [[[Q(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), comps in assemble(signs).items():
-            for k, v in comps:
-                c[i][j][k] = v
-                c[j][i][k] = -v
-        alg = CompactLieAlgebra(
-            name=f"compact[{rs.name}]",
-            basis_labels=labels,
-            structure=c,
-            inner=inner,
-            lambda_minus_b=Q(1),
-            cartan_indices=tuple(range(r)),
-            field_d=field_d,
-            validate=False,
-        )
-        try:
-            alg.validate()
-        except AlgebraValidationError:
-            if alg.jacobi_residual():
-                continue
-            raise
-        return alg
-    raise AlgebraValidationError("no Chevalley sign assignment satisfies Jacobi")
+    return CompactLieAlgebra(
+        name=f"compact[{rs.name}]",
+        basis_labels=labels,
+        structure=c,
+        inner=inner,
+        lambda_minus_b=Q(1),
+        cartan_indices=tuple(range(r)),
+        field_d=field_d,
+    )
 
 
 def build_su2() -> CompactLieAlgebra:

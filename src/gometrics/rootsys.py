@@ -33,10 +33,6 @@ def _vec_neg(u: Vec) -> Vec:
     return tuple(-a for a in u)
 
 
-def _vec_key(u: Vec):
-    return tuple(u)
-
-
 @dataclass(frozen=True)
 class RootSystem:
     """A finite root system with an exact -B-compatible bilinear form."""
@@ -54,18 +50,18 @@ class RootSystem:
         return self.scale * dot(u, v)
 
     def is_root(self, v: Vec) -> bool:
-        return _vec_key(v) in self._root_set
+        return v in self._root_set
 
     @cached_property
     def _root_set(self):
-        return frozenset(_vec_key(r) for r in self.roots)
+        return frozenset(self.roots)
 
     @cached_property
     def _weyl(self) -> tuple:
         return weyl_group(self)
 
     def label(self, v: Vec) -> str:
-        return self.labels.get(_vec_key(v), str(tuple(map(str, v))))
+        return self.labels.get(v, str(tuple(map(str, v))))
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ def _make(name, simple_named, positive_named, frame, ambient_dim) -> RootSystem:
     return RootSystem(
         name=name,
         rank=len(simple_named),
-        roots=tuple(sorted(roots, key=_vec_key)),
+        roots=tuple(sorted(roots)),
         positive=tuple(positive),
         simple=tuple(_vec(v) for _, v in simple_named),
         scale=scale,
@@ -175,7 +171,7 @@ def build_g2() -> RootSystem:
     )
 
 
-def reflect(rs: RootSystem, alpha: Vec, h: Vec) -> Vec:
+def reflect(alpha: Vec, h: Vec) -> Vec:
     """Reflection of h in the hyperplane orthogonal to the root alpha."""
     alpha = _vec(alpha)
     h = _vec(h)
@@ -186,12 +182,12 @@ def reflect(rs: RootSystem, alpha: Vec, h: Vec) -> Vec:
     return tuple(x - c * a for x, a in zip(h, alpha))
 
 
-def _reflection_matrix(rs: RootSystem, alpha: Vec):
+def _reflection_matrix(alpha: Vec):
     n = len(alpha)
     cols = []
     for j in range(n):
         e = tuple(Q(1) if i == j else Q(0) for i in range(n))
-        cols.append(reflect(rs, alpha, e))
+        cols.append(reflect(alpha, e))
     # rows of the matrix
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
@@ -210,7 +206,7 @@ def _mat_apply(m, v: Vec) -> Vec:
 
 def weyl_group(rs: RootSystem) -> tuple:
     """All Weyl group elements as matrices, via closure of the generators."""
-    gens = [_reflection_matrix(rs, a) for a in rs.simple]
+    gens = [_reflection_matrix(a) for a in rs.simple]
     n = len(rs.simple[0])
     ident = tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
     seen = {ident}
@@ -231,7 +227,7 @@ def _canonical_subset_key(rs: RootSystem, roots: frozenset):
     """W-invariant canonical key: minimum over W of the sorted image."""
     best = None
     for w in rs._weyl:
-        img = sorted(_vec_key(_mat_apply(w, r)) for r in roots)
+        img = sorted(_mat_apply(w, r) for r in roots)
         if best is None or img < best:
             best = img
     return tuple(best if best is not None else [])
@@ -244,29 +240,20 @@ def enumerate_closed_symmetric_subsystems(rs: RootSystem) -> list:
     is sorted by (size, canonical key) and each entry is a RootSubsystem
     whose root set is the W-minimal representative of its class.
     """
-    reps = {}
+    keys = set()
     n_pos = len(rs.positive)
     for mask in range(1 << n_pos):
         chosen = [rs.positive[i] for i in range(n_pos) if mask >> i & 1]
-        roots = frozenset(
-            [_vec_key(r) for r in chosen] + [_vec_key(_vec_neg(r)) for r in chosen]
-        )
+        roots = frozenset(chosen + [_vec_neg(r) for r in chosen])
         if len(roots) == len(rs.roots):
             continue  # the full system is excluded
-        sub = RootSubsystem(parent=rs, roots=frozenset(map(_vec, roots)))
-        if not sub.closed:
-            continue
-        key = _canonical_subset_key(rs, sub.roots)
-        if key not in reps:
-            reps[key] = sub
-    out = []
-    for key in sorted(reps, key=lambda k: (len(k), k)):
-        sub = reps[key]
-        canon = RootSubsystem(
-            parent=rs, roots=frozenset(_vec(v) for v in key)
-        )
-        out.append(canon)
-    return out
+        sub = RootSubsystem(parent=rs, roots=roots)
+        if sub.closed:
+            keys.add(_canonical_subset_key(rs, sub.roots))
+    return [
+        RootSubsystem(parent=rs, roots=frozenset(_vec(v) for v in key))
+        for key in sorted(keys, key=lambda k: (len(k), k))
+    ]
 
 
 def subsystems_equivalent(rs: RootSystem, a, b) -> bool:

@@ -3,8 +3,8 @@
 All exact linear algebra in this package runs over values of type
 ``int | Fraction | Quad``.  A ``Quad`` is a + b*sqrt(D) with rational a, b
 and a fixed squarefree positive integer D; arithmetic between exact
-values never leaves the field, and zero tests are exact.  Mixing a Quad
-with a float demotes to float, the same contract Fraction has.
+values never leaves the field, and zero tests are exact.  A Quad does
+not mix with floats: arithmetic or ordering against one raises TypeError.
 """
 
 from __future__ import annotations
@@ -68,8 +68,6 @@ class Quad:
         return None
 
     def __add__(self, other):
-        if isinstance(other, float):
-            return float(self) + other
         p = self._parts(other)
         if p is None:
             return NotImplemented
@@ -82,8 +80,6 @@ class Quad:
         return Quad(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        if isinstance(other, float):
-            return float(self) - other
         p = self._parts(other)
         if p is None:
             return NotImplemented
@@ -91,8 +87,6 @@ class Quad:
         return _demote(a - c, b - e, d)
 
     def __rsub__(self, other):
-        if isinstance(other, float):
-            return other - float(self)
         p = self._parts(other)
         if p is None:
             return NotImplemented
@@ -100,8 +94,6 @@ class Quad:
         return _demote(c - a, e - b, d)
 
     def __mul__(self, other):
-        if isinstance(other, float):
-            return float(self) * other
         p = self._parts(other)
         if p is None:
             return NotImplemented
@@ -117,8 +109,6 @@ class Quad:
         return Quad(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
-        if isinstance(other, float):
-            return float(self) / other
         if isinstance(other, (int, Q)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
@@ -128,17 +118,12 @@ class Quad:
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, float):
-            return other / float(self)
         if isinstance(other, (int, Q, Quad)):
             inv = self._inverse()
             return inv * other
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, float):
-            # floats are rational, so only the degenerate b = 0 case can match
-            return self.b == 0 and self.a == other
         if isinstance(other, (int, Q)):
             return self.b == 0 and self.a == other
         if isinstance(other, Quad):
@@ -173,8 +158,6 @@ class Quad:
         return (1 if a > 0 else -1) if lhs > rhs else (1 if b > 0 else -1)
 
     def _cmp(self, other) -> int:
-        if isinstance(other, float):
-            other = Q(other)  # floats are dyadic, so this is exact
         diff = self - other
         if isinstance(diff, Quad):
             return diff.sign()

@@ -67,7 +67,7 @@ def test_criterion_01_algebra_validity():
     start = time.perf_counter()
     # exact mode: construction-time validation is an exact-zero check of
     # the Jacobi identity and the invariance of the pairing, so merely
-    # building with validate=True asserts the residual is identically 0
+    # building the algebra asserts the residual is identically 0
     su3 = build_su3(2, 1)
     g2 = build_compact_from_rootsystem(build_g2_roots())
     for alg in (su3, g2):

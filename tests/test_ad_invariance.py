@@ -13,14 +13,7 @@ import pytest
 
 from gometrics import exactlinalg as ela
 from gometrics.cli import build_target
-from gometrics.liealg import (
-    CompactLieAlgebra,
-    Subspace,
-    build_su2,
-    centralizer,
-    direct_sum,
-    normalizer,
-)
+from gometrics.liealg import Subspace, centralizer, normalizer
 from gometrics.metrics import max_right_isometry_algebra
 from gometrics.spaces import (
     EINSTEIN_SET_1,
@@ -139,23 +132,11 @@ def test_extended_presentation_matches_reference():
     assert_subspaces_match(L, [ext.space.isotropy, ext.space.complement])
 
 
-def _skewed_u2():
-    """su(2) plus a plane whose inner product is not diagonal."""
-    plane = CompactLieAlgebra(
-        name="plane",
-        basis_labels=("a", "b"),
-        structure=[[[Q(0)] * 2 for _ in range(2)] for _ in range(2)],
-        inner=[[Q(2), Q(1)], [Q(1), Q(3)]],
-    )
-    return direct_sum(build_su2(), plane)
-
-
 def test_lower_pairs_like_the_inner_product():
     cases = [
         build_target("lie:su3", (Q(1),) * 5)[0],
         g2_decomposition().algebra,
         aw_extended_presentation(aloff_wallach(2, 1), Q(1), Q(2), Q(3), Q(4)).algebra,
-        _skewed_u2(),
     ]
     for L in cases:
         n = L.dim
@@ -165,11 +146,3 @@ def test_lower_pairs_like_the_inner_product():
             for x in vectors:
                 assert ela.dot(L.lower(v), x) == L.inner_product(x, v)
 
-
-def test_skewed_inner_product_subspaces_match_reference():
-    L = _skewed_u2()
-    assert L.inner_diag is None
-    assert L.center.dim == 2
-    line = Subspace.from_vectors(L, [[Q(0), Q(0), Q(0), Q(1), Q(-1)]])
-    subspaces = [Subspace.from_indices(L, (3, 4)), Subspace.from_indices(L, (0, 3)), line]
-    assert_subspaces_match(L, subspaces)

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import stat
+import threading
 
 import pytest
 
@@ -305,6 +307,38 @@ def test_out_report_gets_the_mode_a_plain_write_gives(tmp_path, capsys):
     finally:
         os.umask(old)
     assert path.stat().st_mode & 0o777 == 0o644
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    target = tmp_path / "roots.json"
+    target.write_text("old report\n")
+    link = tmp_path / "latest.json"
+    link.symlink_to(target.name)
+    assert cli.main(["roots", "a2"]) == 0
+    expected = capsys.readouterr().out
+    assert cli.main(["roots", "a2", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["latest.json", "roots.json"]
+
+
+def test_out_into_a_fifo_writes_through_it(tmp_path, capsys):
+    fifo = tmp_path / "report.pipe"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo) as fh:  # blocks until the report is opened for writing
+            received.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert cli.main(["roots", "a2", "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert cli.main(["roots", "a2"]) == 0
+    assert received == [capsys.readouterr().out]
 
 
 @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], {}), ([], {"GOMETRICS_SEED": "-1"})])

@@ -145,15 +145,3 @@ def test_intersect_spans_is_contained_in_both(a, b):
         assert ela.in_span(b, v)
 
 
-def test_is_positive_definite():
-    assert ela.is_positive_definite([[Q(2), Q(1)], [Q(1), Q(2)]])
-    assert ela.is_positive_definite([[3, -1, 0], [-1, 2, 1], [0, 1, 4]])
-    assert not ela.is_positive_definite([[1, 2], [2, 1]])  # indefinite
-    assert not ela.is_positive_definite([[-2, 1], [1, -2]])  # negative definite
-    assert not ela.is_positive_definite([[0, 0], [0, 1]])  # zero pivot
-    assert not ela.is_positive_definite([[1, 1], [1, 1]])  # singular
-    r = Quad(0, 1, 2)  # sqrt(2)
-    assert ela.is_positive_definite([[Q(2), r], [r, Q(2)]])
-    assert not ela.is_positive_definite([[Q(1), r], [r, Q(1)]])
-    assert ela.is_positive_definite([[r, Q(1)], [Q(1), r]])
-    assert ela.is_positive_definite([])

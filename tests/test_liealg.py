@@ -1,5 +1,7 @@
 """Compact Lie algebra constructions against independent matrix oracles."""
 
+import copy
+import hashlib
 import itertools
 import time
 from fractions import Fraction as Q
@@ -23,7 +25,7 @@ from gometrics.liealg import (
 )
 from gometrics.rootsys import build_a1, build_a2, build_g2
 from gometrics.scalars import Quad
-from gometrics.spaces import aloff_wallach
+from gometrics.spaces import _G2_CARTAN, aloff_wallach
 
 
 # -- independent oracle: 3x3 anti-hermitian traceless matrices ---------------
@@ -118,8 +120,8 @@ def test_su3_field_is_rational_for_equal_weights():
 
 @pytest.mark.parametrize("build", [build_a1, build_a2, build_g2])
 def test_chevalley_build_checks_jacobi_once(build, monkeypatch):
-    # validate() checks Jacobi on the candidate signs; the build must not
-    # check the winning candidate a second time
+    # the constructor's validate() checks Jacobi; the build must not check
+    # it a second time
     calls = []
     original = liealg.CompactLieAlgebra.jacobi_residual
 
@@ -147,6 +149,35 @@ def test_g2_construction_exact():
         ei = [Q(0)] * n
         ei[i] = Q(1)
         assert ela.dot(ei, ela.matvec(alg.killing, ei)) == -alg.inner_product(ei, ei)
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (build_su2, "cbc63765bc836cefa268fad22f9fe38f43c356f74e0585156677d04762e1e7aa"),
+        (
+            lambda: build_compact_from_rootsystem(build_a2()),
+            "3d9b3a4f898ba2f97066468283022f7fe6afb065963e6eb910b0b283a427168f",
+        ),
+        (
+            lambda: build_compact_from_rootsystem(build_g2(), cartan_basis=_G2_CARTAN),
+            "a278b1fb07d4ae88becc1e2a4b2f958323a0f7635bde49b371918197afefcb2a",
+        ),
+        (
+            lambda: build_compact_from_rootsystem(build_g2()),
+            "c5214b4dadebae0be52f8a80bb099b931ac6ff6faae3304a8327e6fec5aade3c",
+        ),
+        (
+            lambda: build_su3(2, 1),
+            "bb06e4d9bd4bea1d00b96258074b207ea6dd46a1c67b30a49bbbc4ff4c094db6",
+        ),
+    ],
+)
+def test_builders_keep_their_bracket_tables(build, digest):
+    # every structure constant and inner-product entry, with its exact type
+    alg = build()
+    table = repr((sorted(alg._sparse.items()), alg.inner_diag))
+    assert hashlib.sha256(table.encode()).hexdigest() == digest
 
 
 def test_float_structure_jacobi_residual():
@@ -274,7 +305,6 @@ def test_validate_rejects_broken_structure():
             basis_labels=("a", "b", "c"),
             structure=bad,
             inner=[[alg.inner[i][j] for j in range(3)] for i in range(3)],
-            validate=True,
         )
 
 
@@ -288,11 +318,14 @@ def _plane(inner):
 
 
 def test_validate_rejects_indefinite_inner_product():
-    # <(1,-1), (1,-1)> = -2 under the first; the second is negative definite
-    for inner in ([[1, 2], [2, 1]], [[-2, 1], [1, -2]], [[0, 0], [0, 1]]):
+    for inner in ([[0, 0], [0, 1]], [[-2, 0], [0, 1]], [[1, 0], [0, -1]]):
         with pytest.raises(liealg.AlgebraValidationError, match="positive definite"):
             _plane(inner)
-    assert _plane([[2, 1], [1, 2]]).dim == 2
+    # every builder gives a diagonal inner product, and only those are taken
+    for inner in ([[1, 2], [2, 1]], [[-2, 1], [1, -2]], [[2, 1], [1, 2]]):
+        with pytest.raises(liealg.AlgebraValidationError, match="not diagonal"):
+            _plane(inner)
+    assert _plane([[2, 0], [0, 3]]).dim == 2
 
 
 def _rebuilt(alg, lambda_minus_b, inner=None):
@@ -325,15 +358,8 @@ def test_validate_checks_lambda_beside_a_center():
 
 
 def test_direct_sum_with_a_torus_checks_the_other_summands_lambda():
-    su2 = build_su2()
-    wrong = liealg.CompactLieAlgebra(
-        name=su2.name,
-        basis_labels=su2.basis_labels,
-        structure=su2.structure,
-        inner=su2.inner,
-        lambda_minus_b=Q(2),
-        validate=False,
-    )
+    wrong = copy.copy(build_su2())
+    wrong.lambda_minus_b = Q(2)
     for a, b in ((wrong, abelian(1)), (abelian(2), wrong)):
         with pytest.raises(liealg.AlgebraValidationError, match=r"lambda \* \(-Killing\)"):
             direct_sum(a, b)
@@ -346,8 +372,7 @@ def test_validate_rejects_inner_product_coupling_center_to_su2():
     u2 = direct_sum(build_su2(), abelian(1))
     inner = [list(row) for row in u2.inner]
     inner[0][3] = inner[3][0] = Q(1, 4)  # still positive definite
-    assert ela.is_positive_definite(inner)
-    with pytest.raises(liealg.AlgebraValidationError, match="not ad-invariant"):
+    with pytest.raises(liealg.AlgebraValidationError, match="not diagonal"):
         _rebuilt(u2, Q(1), inner=inner)
 
 

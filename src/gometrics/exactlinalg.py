@@ -47,6 +47,22 @@ def clear_denominators(values, d: int = 0):
     return d, den, p, [b.numerator * (den // b.denominator) for _, b in split]
 
 
+def pair_combination(coefficients, rows, size: int, d: int) -> list:
+    """sum_r c_r rows[r] as size integer pairs, for integer pairs c_r and
+    sparse rows of entries (k, pair), a pair (p, q) standing for p + q sqrt(d)."""
+    acc = [(0, 0)] * size
+    for (cp, cq), row in zip(coefficients, rows):
+        for k, (p, q) in row:
+            a, b = acc[k]
+            acc[k] = (a + cp * p + cq * q * d, b + cp * q + cq * p)
+    return acc
+
+
+def pair_value(p, q, den, d):
+    """(p + q sqrt(d)) / den as a Fraction, or as a Quad when q is nonzero."""
+    return Quad(Q(p, den), Q(q, den), d) if q else Q(p, den)
+
+
 class PairRows(NamedTuple):
     """Row i is [p_0 .. p_{c-1}, q_0 .. q_{c-1}], standing for the entries
     (p_k + q_k sqrt(d)) / dens[i]; d is 0 when no entry is irrational."""
@@ -120,12 +136,6 @@ def _eliminate(d, a, cols) -> list:
     return pivots
 
 
-def _entry(row, k, den, d):
-    """Entry k of an integer-pair row over den, as a Fraction or Quad."""
-    p, q = row[k], row[len(row) // 2 + k]
-    return Quad(Q(p, den), Q(q, den), d) if q else Q(p, den)
-
-
 def rref(m):
     """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
 
@@ -138,7 +148,7 @@ def rref(m):
     out = []
     for i, row in enumerate(a):
         den = row[pivots[i]] if i < len(pivots) else 1
-        out.append([_entry(row, k, den, d) for k in range(cols)])
+        out.append([pair_value(row[k], row[cols + k], den, d) for k in range(cols)])
     return out, pivots
 
 
@@ -166,7 +176,7 @@ def solve_augmented(system: PairRows):
         return None, len(pivots) - 1  # pivot in the rhs column: inconsistent
     x = [Q(0)] * cols
     for row, c in zip(a, pivots):
-        x[c] = _entry(row, cols, row[c], system.d)
+        x[c] = pair_value(row[cols], row[-1], row[c], system.d)
     return x, len(pivots)
 
 

@@ -25,22 +25,23 @@ object that owns that data: the ``ReductiveSpace`` for the direct form,
 the reduced form (one per extra Subspace) and the normal-transitive
 form, and the cached right-isometry kernel Subspace for the group case.
 A direction makes no bracket, projection or inner product.  An exact
-one clears A X and X to integers once, into augmented rows [M s | b s]
-over Z[sqrt(D)] that ``solve_linear_feasibility`` eliminates and whose
-floats give an infeasible system's residual; only witness entries
-become Fraction or Quad.  A float one takes one numpy contraction.  For
-the direct and reduced systems p pairs against the complement basis,
-which gives the lemma's system entry for entry: with proj_m the
-orthogonal projection (self-adjoint) and A X in m,
+one is decided in the frame of the metric's blocks, where A is
+diagonal: X is cleared to integer frame coordinates once, and the
+system compiled in that frame gives augmented rows [M s | b s] over
+Z[sqrt(D)] that ``solve_linear_feasibility`` eliminates; only witness
+entries become Fraction or Quad.  A float one takes one numpy
+contraction.  For the direct and reduced systems p pairs against the
+complement basis, which gives the lemma's system entry for entry: with
+proj_m the orthogonal projection (self-adjoint) and A X in m,
 
     <proj_m [W, Y], A X> = <[W, Y], A X> = -<Y, [W, A X]> = <[A X, W], Y>
 
 by ad-invariance of the inner product, which
 ``CompactLieAlgebra.validate`` checks.  So A X must lie in the
-complement; ``go_feasible_reduced`` rejects exact X or A X outside it,
-and the normal-transitive form an exact X outside it.  Its system
-pairs against the orthogonal complement of the isotropy algebra and
-takes generators from the isotropy and from its centralizer in the
+complement: an exact X outside it is rejected, and so is an exact
+metric whose blocks do not span it.  The normal-transitive system pairs
+against the orthogonal complement of the isotropy algebra and takes
+generators from the isotropy and from its centralizer in the
 complement, both computed once per space.  A left-invariant metric on
 the group itself is handled by ``lie_group_go_check``: coordinates are
 the pairing and the generators span the commutation kernel of the metric.
@@ -278,21 +279,39 @@ def solve_linear_feasibility(
 
 
 def _norm_hint(L: CompactLieAlgebra, x) -> float:
-    return float(L.inner_product([float(v) for v in x], [float(v) for v in x])) ** 0.5
+    # inner_product's terms on float copies, in order: float * Fraction rounds the Fraction first
+    total = 0.0
+    for f, d in zip(map(float, x), L.inner_np.diagonal().tolist()):
+        total += f * d * f
+    return total ** 0.5
 
 
-def _geodesic_system(system: BracketSystem, ax, X, tolerances) -> FeasibilityResult:
+def _geodesic_system(system, metric, X, tolerances, space=None, extra=None) -> FeasibilityResult:
     """Solve sum_j z_j pair([A X, w_j]) = -pair([A X, X]) over the compiled
-    system's generators w_j, given ax = A X."""
-    rows, rhs = system.equations(ax, X)
-    return solve_linear_feasibility(
-        rows, rhs, tolerances, scale_hint=_norm_hint(system.algebra, X)
-    )
-
-
-def _require_in_complement(space: ReductiveSpace, v, name: str) -> None:
-    if ela.all_exact(v) and not space.in_complement(v):
-        raise ValueError(f"{name} must lie in the complement")
+    system's generators w_j, after checking a space's X and extra: in the
+    frame of an exact metric, which must span the complement, for exact X."""
+    dec, exact = metric.decomposition, ela.all_exact(X) and metric.is_exact
+    if exact:
+        if system not in dec.frame_systems:
+            amb = dec.ambient
+            if space is not None and not (
+                amb.dim == space.complement.dim and space.complement.contains_subspace(amb)
+            ):
+                raise ValueError("the metric's blocks must span the complement")
+            dec.frame_systems[system] = system.in_frame(amb.basis, dec.frame_owner)
+        coords = dec.frame_coordinates(X, metric.frame_coefficients[0])
+        inside = coords[3]
+    else:
+        inside = space is None or not ela.all_exact(X) or space.in_complement(X)
+    if not inside:
+        raise ValueError("X must lie in the complement")
+    for u in extra.basis if extra is not None else ():
+        _validate_skew_generator(space, metric, u)
+    if exact:
+        rows, rhs = system.frame_equations(dec.frame_systems[system], metric.frame_coefficients, coords), None
+    else:
+        rows, rhs = system.equations(metric.apply(X), X)
+    return solve_linear_feasibility(rows, rhs, tolerances, scale_hint=_norm_hint(system.algebra, X))
 
 
 def go_feasible_reduced(
@@ -310,13 +329,7 @@ def go_feasible_reduced(
     memo ``metric.skew_generators``).  X and A X must lie in the
     complement, which is checked for exact input.
     """
-    _require_in_complement(space, X, "X")
-    ax = metric.apply(X)
-    _require_in_complement(space, ax, "A X")
-    if extra is not None:
-        for u in extra.basis:
-            _validate_skew_generator(space, metric, u)
-    return _geodesic_system(space.geodesic_system(extra), ax, X, tolerances)
+    return _geodesic_system(space.geodesic_system(extra), metric, X, tolerances, space, extra)
 
 
 def go_feasible_direct(
@@ -367,8 +380,7 @@ def go_feasible_normal_transitive(
     """
     if space.isotropy.dim == 0:
         raise ValueError("the normal-transitive formulation needs a nonzero isotropy")
-    _require_in_complement(space, X, "X")
-    return _geodesic_system(space.normal_transitive_system, metric.apply(X), X, tolerances)
+    return _geodesic_system(space.normal_transitive_system, metric, X, tolerances, space)
 
 
 def lie_group_go_check(
@@ -387,7 +399,7 @@ def lie_group_go_check(
     isometry group.
     """
     kernel = max_right_isometry_algebra(L, metric)
-    return _geodesic_system(kernel.bracket_system, metric.apply(X), X, tolerances)
+    return _geodesic_system(kernel.bracket_system, metric, X, tolerances)
 
 
 def sample_tangent_vectors(
@@ -400,26 +412,21 @@ def sample_tangent_vectors(
 
     Float samples are unit directions, normally distributed over the
     ambient span.  With exact=True coordinates are small integers over
-    the exact basis of the ambient span, so downstream checks stay in
-    exact arithmetic.
+    the frame of the ambient span, so downstream checks stay in exact
+    arithmetic.
     """
     rng = np.random.default_rng(seed)
     amb = decomposition.ambient
-    n = decomposition.parent.dim
     out = []
     for _ in range(count):
         if exact:
-            v = [Q(0)] * n
-            nonzero = False
-            for b in amb.basis:
-                c = int(rng.integers(-9, 10))
-                if c:
-                    nonzero = True
-                    for i, y in enumerate(b):
-                        if y:
-                            v[i] = v[i] + c * y
-            if not nonzero:
-                v = [x + y for x, y in zip(v, amb.basis[0])]
+            d, den, frame, *_ = decomposition.integer_frame
+            # one batch draws the integers one call per frame vector would
+            c = rng.integers(-9, 10, size=len(frame)).tolist()
+            if not any(c):
+                c[0] = 1
+            pairs = ela.pair_combination([(x, 0) for x in c], frame, decomposition.parent.dim, d)
+            v = [ela.pair_value(p, q, den, d) for p, q in pairs]
         else:
             # adding 0.0 turns a -0.0 entry into 0.0
             v = amb.onb_np @ rng.standard_normal(amb.dim) + 0.0

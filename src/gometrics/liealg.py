@@ -349,89 +349,90 @@ class BracketSystem:
     compiled once for fixed generators w_j and a pairing: pair(v) lists
     <v, y_i> over a pairing basis y, or the coordinates of v without one.
 
-    The sparse exact tensors S[a, b] = pair([e_a, e_b]) for a < b, read
-    off the structure constants, and G[a] = pair([e_a, w_j]) (entry
-    (i, j)), from ``bracket``, go through one pairing helper, so that for
-    given u and x
+    The sparse exact tensors S[a, b] = pair([e_a, e_b]) for a < b and
+    G[a] = pair([e_a, w_j]) (entry (i, j)), from ``bracket`` and one
+    pairing helper, give for u and x
 
         M = sum_a u_a G[a],   rhs = -sum_{a<b} (u_a x_b - u_b x_a) S[a, b]
 
-    with no bracket or inner product.  They are kept as integer pairs
-    (p, q) over one common denominator, entry (p + q sqrt(radicand)) /
-    denominator: exact input is assembled on these integers, float input
-    by one numpy contraction over float copies of the same tensors.
+    with no bracket or inner product: float input by one numpy
+    contraction over float copies of them, exact input on integer pairs
+    of them in the frame of a metric's blocks (``in_frame``).
     """
 
     def __init__(self, L: CompactLieAlgebra, generators, pairing=None):
-        self.algebra = L
+        self.algebra, self.generators = L, generators
         self.shape = (L.dim if pairing is None else len(pairing), len(generators))
-        forms = None if pairing is None else [L.lower(y) for y in pairing]
+        self._forms = None if pairing is None else [L.lower(y) for y in pairing]
 
-        def pair(ent):  # pair(v) as nonzero (i, value), from v's (k, v_k)
-            ent = [(k, c) for k, c in ent if c]
-            if forms is None:
-                return ent
-            sums = (sum((c * f[k] for k, c in ent if f[k]), _ZERO) for f in forms)
-            return [(i, v) for i, v in enumerate(sums) if v]
-
-        S = {key: col for key, ent in L._sparse.items() if (col := pair(ent))}
-        units = ([int(k == a) for k in range(L.dim)] for a in range(L.dim))
-        cols = [[pair(enumerate(L.bracket(e_a, w))) for w in generators] for e_a in units]
-        G = [[(i, j, v) for j, col in enumerate(row) for i, v in col] for row in cols]
-        values = (e[-1] for ent in [*G, *S.values()] for e in ent)
-        self.radicand, self.denominator, p, q = ela.clear_denominators(values)
-        pq = iter(zip(p, q))
-        # G[a] as [(i, j, p, q), ..] and S as [(a, b, [(i, p, q), ..]), ..]
-        self.generator_brackets = [[(i, j, *next(pq)) for i, j, _ in ent] for ent in G]
-        self.pair_brackets = [(a, b, [(i, *next(pq)) for i, _ in ent]) for (a, b), ent in S.items()]
+    def _pair(self, ent):  # pair(v) as nonzero (i, value), from v's (k, v_k)
+        ent = [(k, c) for k, c in ent if c]
+        if self._forms is None:
+            return ent
+        sums = (sum((c * f[k] for k, c in ent if f[k]), _ZERO) for f in self._forms)
+        return [(i, v) for i, v in enumerate(sums) if v]
 
     @cached_property
     def _float_tensors(self):
-        n = self.algebra.dim
-        rows, cols = self.shape
-        d, den = self.radicand, self.denominator
-        G = np.zeros((n, rows, cols))
-        for a, entries in enumerate(self.generator_brackets):
+        n, (rows, cols) = self.algebra.dim, self.shape
+        d, den, G, S = self.in_frame([[int(k == a) for k in range(n)] for a in range(n)], range(n))
+        Gf, Sf = np.zeros((n, rows, cols)), np.zeros((n, n, rows))
+        for a, entries in enumerate(G):
             for i, j, p, q in entries:
-                G[a, i, j] = ela.pair_float(p, q, den, d)
-        S = np.zeros((n, n, rows))
-        for a, b, entries in self.pair_brackets:
-            for i, p, q in entries:
-                S[a, b, i] = ela.pair_float(p, q, den, d)
-                S[b, a, i] = -S[a, b, i]
-        return G, S
+                Gf[a, i, j] = ela.pair_float(p, q, den, d)
+        for a, b, entries in S:
+            for i, _, p, q in entries:
+                Sf[a, b, i] = ela.pair_float(p, q, den, d)
+                Sf[b, a, i] = -Sf[a, b, i]
+        return Gf, Sf
+
+    def in_frame(self, frame, owner) -> tuple:
+        """(d, den, G', S') in a frame v of exact vectors, v_m in block
+        owner[m]: G'[m] = pair([v_m, w_j]) as [(i, j, p, q), ..] and S' =
+        [(m, m', [(i, cols, p, q), ..]), ..], pair([v_m, v_m']) for m < m'
+        in different blocks, all integer pairs (p + q sqrt(d)) / den."""
+        L, cols = self.algebra, self.shape[1]
+        brackets = ([self._pair(enumerate(L.bracket(u, w))) for w in self.generators] for u in frame)
+        G = [[(i, j, v) for j, col in enumerate(row) for i, v in col] for row in brackets]
+        pairs = (mn for mn in itertools.combinations(range(len(frame)), 2) if owner[mn[0]] != owner[mn[1]])
+        S = [(m, n, col) for m, n in pairs if (col := self._pair(enumerate(L.bracket(frame[m], frame[n]))))]
+        d, den, p, q = ela.clear_denominators(e[-1] for ent in [*G, *(c for *_, c in S)] for e in ent)
+        pq = iter(zip(p, q))
+        G = [[(i, j, *next(pq)) for i, j, _ in ent] for ent in G]
+        return d, den, G, [(m, n, [(i, cols, *next(pq)) for i, _ in ent]) for m, n, ent in S]
 
     def equations(self, u, x):
-        """The system for u and x: numpy arrays (M, rhs) for float input;
-        for exact input the augmented rows [M s | rhs s] as an
-        ``exactlinalg.PairRows`` with one integer scale s, and None."""
-        if not (ela.all_exact(u) and ela.all_exact(x)):
-            G, S = self._float_tensors
-            uf = np.array([float(v) for v in u])
-            xf = np.array([float(v) for v in x])
-            return np.tensordot(uf, G, 1), -(xf @ np.tensordot(uf, S, 1))
-        d, su, up, uq = ela.clear_denominators(u, self.radicand)
-        d, sx, xp, xq = ela.clear_denominators(x, d)
-        rows, cols = self.shape
+        """The float system for u and x: numpy arrays (M, rhs)."""
+        G, S = self._float_tensors
+        uf = np.array([float(v) for v in u])
+        xf = np.array([float(v) for v in x])
+        return np.tensordot(uf, G, 1), -(xf @ np.tensordot(uf, S, 1))
+
+    def frame_equations(self, tensors, coefficients, coordinates) -> ela.PairRows:
+        """[M s | rhs s] for u = A x as ``exactlinalg.PairRows``: from the
+        ``in_frame`` tensors, alpha[m] / aden and x's frame coordinates C[m] /
+        cden (over alpha's radicand), M = sum_m a_m c_m G'[m] and rhs = -sum
+        (a_m - a_m') c_m c_m' S'[m, m'] over m < m', zero in one block."""
+        (d, gden, G, S), (_, aden, alpha), (xd, cden, C, _) = tensors, coefficients, coordinates
+        if d and xd and d != xd:
+            raise ValueError(f"mixed radicands sqrt({d}) and sqrt({xd})")
+        d, (rows, cols) = d or xd, self.shape
         out = [[0] * (2 * cols + 2) for _ in range(rows)]
-        # M s = sum_a (u_a su sx)(G[a] den) with s = su sx den
-        for entries, p, q in zip(self.generator_brackets, up, uq):
-            if p or q:
-                p, q = p * sx, q * sx
-                for i, j, gp, gq in entries:
-                    row = out[i]
-                    row[j] += p * gp + q * gq * d
-                    row[cols + 1 + j] += p * gq + q * gp
-        # rhs s = -sum_{a<b} ((u_a x_b - u_b x_a) su sx)(S[a, b] den)
-        for a, b, entries in self.pair_brackets:
-            fp = up[a] * xp[b] - up[b] * xp[a] + (uq[a] * xq[b] - uq[b] * xq[a]) * d
-            fq = up[a] * xq[b] + uq[a] * xp[b] - up[b] * xq[a] - uq[b] * xp[a]
+        # scaled by s = aden cden^2 gden; pairs with equal coefficients cancel too
+        terms = [((ap * cp + aq * cq * d) * cden, (ap * cq + aq * cp) * cden, ent)
+                 for (ap, aq), (cp, cq), ent in zip(alpha, C, G)]
+        for m, n, ent in S:
+            if alpha[m] != alpha[n]:
+                (ap, aq), (bp, bq), (cp, cq), (ep, eq) = alpha[m], alpha[n], C[m], C[n]
+                p, q, da, db = cp * ep + cq * eq * d, cp * eq + cq * ep, bp - ap, bq - aq
+                terms.append((da * p + db * q * d, da * q + db * p, ent))
+        for fp, fq, entries in terms:
             if fp or fq:
-                for i, sp, sq in entries:
+                for i, j, p, q in entries:
                     row = out[i]
-                    row[cols] -= fp * sp + fq * sq * d
-                    row[-1] -= fp * sq + fq * sp
-        return ela.PairRows(d, out, [su * sx * self.denominator] * rows), None
+                    row[j] += fp * p + fq * q * d
+                    row[cols + 1 + j] += fp * q + fq * p
+        return ela.PairRows(d, out, [aden * cden * cden * gden] * rows)
 
 
 # -- module-level operations (spec names) --------------------------------

@@ -14,9 +14,9 @@ reaches (``bracket_reach``), the Ricci tensor as a Laurent polynomial in
 the coefficients (``ricci_polynomial``) and the rows of the commutation
 kernel of each coefficient partition (``commutation_kernel``, keyed by
 ``partition_key``); the block sums that are subalgebras, read off the
-reach (``block_sum_indices``, ``block_sums``); and the exact projection
-onto each block (``block_projections``), from which an exact metric
-builds its sparse matrix once (``exact_matrix``).  The kernel depends
+reach (``block_sum_indices``, ``block_sums``); and the frame and its
+dual rows on integers (``integer_frame``), in which an exact metric is
+diagonal (``frame_coefficients``).  The kernel depends
 only on which coefficients are equal, so it is exact for float metrics
 too: a float counts as the value it holds.  The right-isometry algebra,
 adaptedness (``is_adapted``, hence ``detect_naturally_reductive``) and
@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 
@@ -55,6 +55,8 @@ class ModuleDecomposition:
     parent: CompactLieAlgebra
     blocks: tuple
     name: str = ""
+    # ``BracketSystem.in_frame`` tensors in this frame by system, filled by gocheck
+    frame_systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.blocks:
@@ -204,22 +206,28 @@ class ModuleDecomposition:
         return out
 
     @cached_property
-    def block_projections(self) -> tuple:
-        """The orthogonal projection onto each block as exact sparse rows:
-        row r of block k lists (c, P_k[r][c]), P_k v = sum_b <v, b>/<b, b> b
-        over the block's basis."""
-        L = self.parent
-        out = []
-        for block in self.blocks:
-            rows = [defaultdict(int) for _ in range(L.dim)]
-            for b, nb in zip(block.basis, block._norms):
-                form = L.lower(b)
-                for r, br in enumerate(b):
-                    for c, fc in enumerate(form):
-                        if br and fc:
-                            rows[r][c] += exact_div(br * fc, nb)
-            out.append(tuple(tuple((c, v) for c, v in row.items() if v) for row in rows))
-        return tuple(out)
+    def integer_frame(self) -> tuple:
+        """(d, den, rows, dual_den, duals): rows[m] lists the entries (k, (p,
+        q)), p + q sqrt(d), of frame vector v_m times den, and duals[k] those
+        (m, e) of <e_k, v_m> / <v_m, v_m> times dual_den, all nonzero."""
+        L, vecs, norms, out, d = self.parent, self.ambient.basis, self.ambient._norms, [], 0
+        duals = [[exact_div(w * v[k], nv) for v, nv in zip(vecs, norms)] for k, w in enumerate(L.inner_diag)]
+        for table in (vecs, duals):
+            d, den, p, q = ela.clear_denominators([c for v in table for c in v], d)
+            pq = iter(zip(p, q))
+            out += [den, [[(k, e) for k, e in zip(range(len(table[0])), pq) if any(e)] for _ in table]]
+        return (d, *out)
+
+    def frame_coordinates(self, x, d: int) -> tuple:
+        """(d, den, C, inside): C[m] / den, an integer pair, is the frame
+        coordinate of the exact x's projection onto the ambient span, and
+        inside tells whether x lies in it; d includes the frame's radicand."""
+        _, den, rows, dual_den, duals = self.integer_frame
+        d, xden, p, q = ela.clear_denominators(x, d)
+        xs, s, n = list(zip(p, q)), den * dual_den, self.parent.dim
+        coords = ela.pair_combination(xs, duals, len(rows), d)
+        inside = len(rows) == n or ela.pair_combination(coords, rows, n, d) == [(a * s, b * s) for a, b in xs]
+        return d, xden * dual_den, coords, inside
 
     @cached_property
     def bracket_reach(self) -> dict:
@@ -300,21 +308,22 @@ class MetricEndomorphism:
         return all(is_exact(a) for a in self.coefficients)
 
     def apply(self, v):
-        """A(v) for v in the ambient span, exact when everything is exact."""
+        """A(v) for v in the ambient span, exact (on frame coordinates)
+        when everything is exact."""
         if self.is_exact and ela.all_exact(v):
-            return [sum((a * v[c] for c, a in row if v[c]), _ZERO) for row in self.exact_matrix]
+            (d, den, alpha), (_, fden, rows, *_) = self.frame_coefficients, self.decomposition.integer_frame
+            d, cden, coords, _ = self.decomposition.frame_coordinates(v, d)
+            scaled = [(ap * cp + aq * cq * d, ap * cq + aq * cp) for (ap, aq), (cp, cq) in zip(alpha, coords)]
+            acc = ela.pair_combination(scaled, rows, len(v), d)
+            return [ela.pair_value(p, q, den * cden * fden, d) for p, q in acc]
         return list(self.matrix_np @ np.asarray([float(x) for x in v]))
 
     @cached_property
-    def exact_matrix(self) -> tuple:
-        """A = sum_k a_k P_k as exact sparse rows, from the decomposition's
-        ``block_projections``; read by ``apply`` for exact coefficients."""
-        acc = [defaultdict(int) for _ in range(self.parent.dim)]
-        for a, proj in zip(self.coefficients, self.decomposition.block_projections):
-            for r, row in enumerate(proj):
-                for c, p in row:
-                    acc[r][c] += a * p
-        return tuple(tuple((c, x) for c, x in row.items() if x) for row in acc)
+    def frame_coefficients(self) -> tuple:
+        """(d, den, alpha): alpha[m] / den, an integer pair, is the exact
+        coefficient of frame vector m; d includes the frame's radicand."""
+        d, den, p, q = ela.clear_denominators(self.coefficients, self.decomposition.integer_frame[0])
+        return d, den, [(p[b], q[b]) for b in self.decomposition.frame_owner]
 
     @cached_property
     def skew_generators(self) -> set:

@@ -646,6 +646,8 @@ def reproduce_main_theorem(
     corner_dims = set()
     corners_non_go = True
     corner_count = 0
+    # the corner metrics share one decomposition: the seed draws one sample
+    corner_samples = sample_tangent_vectors(dec.blocks, 6, seed=seed)
     for signs in itertools.product((1.0, -1.0), repeat=5):
         corner_count += 1
         pert = [c + s * _PERTURBATION for c, s in zip(base, signs)]
@@ -656,8 +658,8 @@ def reproduce_main_theorem(
             alg,
             metric,
             formulation="lie_group",
-            count=6,
             seed=seed,
+            samples=corner_samples,
             tolerances=tol,
         )
         if cert.verdict != "non-go-certified":

@@ -152,6 +152,20 @@ def test_coefficients_at_the_range_bounds_are_accepted_without_warning():
             ("reproduce", "aw-classification", "--format", "text"),
             "7553ad0646a61695116a31c92b4e179cb88d25b423ac531ea900c03f94e98f0c",
         ),
+        # exact sweeps whose every direction is feasible: residual 0.0,
+        # no singular value ratio
+        (
+            ("go-check", "--space", "lie:g2", "--metric", "1,1,11/9,11/9,1"),
+            "8f32d345f0b038765aeade023ccd40dde8b3ca117c74a7b46472ccb77d9d1f32",
+        ),
+        (
+            ("go-check", "--space", "aw:5,2", "--metric", "2,2,2,1"),
+            "a668b37ff973ecd25da413999cb8761d532ecb72e82f1c318da68ff72324b8ff",
+        ),
+        (
+            ("go-check", "--space", "lie:su2", "--metric", "1,1,2"),
+            "a35343d0e38b6cfee22727e24635cea6900aa84a5e94464b1468a302627fc008",
+        ),
     ],
 )
 def test_exact_reports_keep_their_bytes(args, digest):

@@ -25,6 +25,7 @@ from gometrics.gocheck import (
 )
 from gometrics.liealg import CompactLieAlgebra, Subspace, build_su2, is_subalgebra
 from gometrics.metrics import (
+    MetricEndomorphism,
     MetricValidationError,
     ModuleDecomposition,
     detect_naturally_reductive,
@@ -271,6 +272,22 @@ def test_exact_go_check_brackets_do_not_grow_with_directions(monkeypatch):
         counts.append(calls["bracket"])
         monkeypatch.undo()
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("space,metric", [("aw:2,1", "1,2,3,1"), ("lie:g2", "1,2,3,4,5")])
+def test_exact_go_check_decides_in_the_frame(monkeypatch, space, metric):
+    # an exact direction makes no apply and clears only itself to integers
+    args = ["go-check", "--space", space, "--metric", metric, "--samples"]
+    main(args + ["1"])  # builds the space and compiles its systems
+    counts = []
+    for samples in ("12", "24"):
+        calls = _count_calls(monkeypatch, (MetricEndomorphism, "apply"), (ela, "clear_denominators"))
+        assert main(args + [samples]) == 3
+        counts.append(calls)
+        monkeypatch.undo()
+    assert [c["apply"] for c in counts] == [0, 0]
+    # one for the new metric's coefficients, one per direction
+    assert [c["clear_denominators"] for c in counts] == [13, 25]
 
 
 def test_bad_extra_generator_raises_on_every_first_direction():

@@ -5,16 +5,20 @@ the per-call computations they replaced.
 their systems were compiled: one bracket per generator and one for the
 right-hand side, each paired with the formulation's pairing basis.
 ``reference_equations`` is the Fraction assembly of a compiled system
-that came before its integer-pair rows, and ``reference_decision`` the
-exact decision on it: ``exactlinalg.solve`` plus ``_lstsq_stats`` on its
-float copy.  ``reference_apply`` projects onto every block, and
-``reference_samples`` adds c * b over every entry of each ambient basis
-vector.  Exact results must be equal entry for entry, of the same types,
-and float residuals bit for bit; float systems must agree to 1e-12
-relative to the largest entry.
+that came before its integer-pair rows, ``reference_pair_equations``
+the integer-pair assembly in standard coordinates from A X and X that
+came before directions were decided in the metric's frame, and
+``reference_decision`` the exact decision on the Fraction system:
+``exactlinalg.solve`` plus ``_lstsq_stats`` on its float copy.
+``reference_apply`` projects onto every block, and ``reference_samples``
+adds c * b over every entry of each ambient basis vector.  Exact results
+must be equal entry for entry, of the same types, and float residuals
+bit for bit; float systems must agree to 1e-12 relative to the largest
+entry.
 """
 
 import functools
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -24,9 +28,18 @@ from hypothesis import strategies as st
 
 from gometrics import cli
 from gometrics import exactlinalg as ela
-from gometrics.gocheck import _lstsq_stats, _norm_hint, sample_tangent_vectors, solve_linear_feasibility
+from gometrics.gocheck import (
+    _lstsq_stats,
+    _norm_hint,
+    go_feasible_direct,
+    go_feasible_normal_transitive,
+    go_feasible_reduced,
+    lie_group_go_check,
+    sample_tangent_vectors,
+    solve_linear_feasibility,
+)
 from gometrics.liealg import BracketSystem, Subspace, build_su3, centralizer
-from gometrics.metrics import make_metric, max_right_isometry_algebra
+from gometrics.metrics import ModuleDecomposition, make_metric, max_right_isometry_algebra
 from gometrics.scalars import Quad
 from gometrics.spaces import (
     EINSTEIN_SET_2,
@@ -49,12 +62,20 @@ def exact_value(p, q, den, d):
     return Quad(Q(p, den), Q(q, den), d) if q else Q(p, den)
 
 
+@functools.lru_cache(maxsize=8)
+def standard_tensors(system):
+    """The system's integer tensors in the frame of unit vectors, every
+    pair of them kept: G[a] = pair([e_a, w_j]) and S[a, b] = pair([e_a, e_b])."""
+    n = system.algebra.dim
+    return system.in_frame([[Q(int(k == a)) for k in range(n)] for a in range(n)], range(n))
+
+
 def reference_equations(system, u, x):
     """(M, rhs) assembled in Fraction and Quad arithmetic from the exact
     tensors G and S of a compiled system."""
-    d, den = system.radicand, system.denominator
-    G = [[(i, j, exact_value(p, q, den, d)) for i, j, p, q in ent] for ent in system.generator_brackets]
-    S = {(a, b): [(i, exact_value(p, q, den, d)) for i, p, q in ent] for a, b, ent in system.pair_brackets}
+    d, den, G, S = standard_tensors(system)
+    G = [[(i, j, exact_value(p, q, den, d)) for i, j, p, q in ent] for ent in G]
+    S = {(a, b): [(i, exact_value(p, q, den, d)) for i, _, p, q in ent] for a, b, ent in S}
     zero = Q(0)
     rows, cols = system.shape
     M = [[zero] * cols for _ in range(rows)]
@@ -71,6 +92,46 @@ def reference_equations(system, u, x):
                 for i, s in entries:
                     rhs[i] = rhs[i] - f * s
     return M, rhs
+
+
+def reference_pair_equations(system, u, x):
+    """The augmented rows [M s | rhs s] for exact u and x as an
+    ``exactlinalg.PairRows`` with one integer scale s: u and x cleared to
+    integers once each, then assembled from the integer tensors G and S."""
+    radicand, den, G, S = standard_tensors(system)
+    d, su, up, uq = ela.clear_denominators(u, radicand)
+    d, sx, xp, xq = ela.clear_denominators(x, d)
+    rows, cols = system.shape
+    out = [[0] * (2 * cols + 2) for _ in range(rows)]
+    # M s = sum_a (u_a su sx)(G[a] den) with s = su sx den
+    for entries, p, q in zip(G, up, uq):
+        if p or q:
+            p, q = p * sx, q * sx
+            for i, j, gp, gq in entries:
+                row = out[i]
+                row[j] += p * gp + q * gq * d
+                row[cols + 1 + j] += p * gq + q * gp
+    # rhs s = -sum_{a<b} ((u_a x_b - u_b x_a) su sx)(S[a, b] den)
+    for a, b, entries in S:
+        fp = up[a] * xp[b] - up[b] * xp[a] + (uq[a] * xq[b] - uq[b] * xq[a]) * d
+        fq = up[a] * xq[b] + uq[a] * xp[b] - up[b] * xq[a] - uq[b] * xp[a]
+        if fp or fq:
+            for i, _, sp, sq in entries:
+                row = out[i]
+                row[cols] -= fp * sp + fq * sq * d
+                row[-1] -= fp * sq + fq * sp
+    return ela.PairRows(d, out, [su * sx * den] * rows)
+
+
+def frame_rows(system, metric, x):
+    """The rows the formulations decide for exact x: assembled in the
+    metric's frame from x's frame coordinates."""
+    dec = metric.decomposition
+    coords = dec.frame_coordinates(x, metric.frame_coefficients[0])
+    assert coords[3], "x leaves the frame's span"
+    if system not in dec.frame_systems:
+        dec.frame_systems[system] = system.in_frame(dec.ambient.basis, dec.frame_owner)
+    return system.frame_equations(dec.frame_systems[system], metric.frame_coefficients, coords)
 
 
 def reference_decision(rows, rhs, scale_hint):
@@ -94,10 +155,14 @@ def exact_entries(system):
     return out
 
 
-def split_equations(system, u, x):
-    """(M, rhs) of the compiled system's integer-pair rows, as exact entries."""
-    pairs, none = system.equations(u, x)
-    assert none is None and isinstance(pairs, ela.PairRows)
+def float_reprs(pairs):
+    """repr() of every float the integer-pair rows give."""
+    return [list(map(repr, row)) for row in pairs.floats()]
+
+
+def split_equations(pairs):
+    """(M, rhs) of integer-pair rows, as exact entries."""
+    assert isinstance(pairs, ela.PairRows)
     entries = exact_entries(pairs)
     return [r[:-1] for r in entries], [r[-1] for r in entries]
 
@@ -106,13 +171,14 @@ def _types(rows, rhs):
     return [type(v) for row in rows + [rhs] for v in row]
 
 
-def assert_same_decision(system, u, x, scale_hint):
-    """The integer decision against ``reference_decision``: status, witness
-    values and types, ranks, and the float residual and singular value
-    ratio bit for bit."""
+def assert_same_decision(system, u, x, scale_hint, pairs=None):
+    """The integer decision on pairs (by default the standard-coordinate
+    rows) against ``reference_decision``: status, witness values and
+    types, ranks, and the float residual and singular value ratio bit for
+    bit."""
     rows, rhs = reference_equations(system, u, x)
-    pairs, none = system.equations(u, x)
-    res = solve_linear_feasibility(pairs, none, scale_hint=scale_hint)
+    pairs = pairs or reference_pair_equations(system, u, x)
+    res = solve_linear_feasibility(pairs, None, scale_hint=scale_hint)
     status, witness, rank, rel, sratio = reference_decision(rows, rhs, scale_hint)
     assert (res.status, res.witness, res.method) == (status, witness, "exact")
     if witness is not None:
@@ -156,9 +222,9 @@ def _pairing(L, basis):
 
 
 def _cases(coeffs):
-    """(name, system, algebra, generators, pairing, metric, directions) of
-    the four formulations on W[2,1] and W[5,2], and the group case on G2,
-    su3 and su2."""
+    """(name, system, algebra, generators, pairing, metric, directions,
+    decide) of the four formulations on W[2,1] and W[5,2], and the group
+    case on G2, su3 and su2; decide(X) is the formulation's public call."""
     out = []
     exact = all(isinstance(c, Q) for c in coeffs)
     for pair in ((2, 1), (5, 2)):
@@ -171,17 +237,19 @@ def _cases(coeffs):
         out.append((
             "direct", ext.space.geodesic_system(), ext.algebra, ext.space.isotropy.basis,
             _pairing(ext.algebra, ext.space.complement.basis), ext.metric,
-            [ext.lift(x) for x in xs],
+            [ext.lift(x) for x in xs], functools.partial(go_feasible_direct, ext.space, ext.metric),
         ))
         axis = Subspace.from_indices(L, (1,), label="axis")
         out.append((
             "reduced", space.geodesic_system(axis), L, h.basis + axis.basis,
             _pairing(L, m.basis), metric, xs,
+            functools.partial(go_feasible_reduced, space, metric, extra=axis),
         ))
         cm = centralizer(L, h).intersect(m)
         out.append((
             "normal_transitive", space.normal_transitive_system, L, h.basis + cm.basis,
             _pairing(L, h.orthogonal_complement().basis), metric, xs,
+            functools.partial(go_feasible_normal_transitive, space, metric),
         ))
     dec = g2_decomposition()
     g2 = dec.algebra, g2_metric(*EINSTEIN_SET_2, decomposition=dec)
@@ -192,20 +260,24 @@ def _cases(coeffs):
             metric = make_metric(metric.decomposition, [a * 1.0 for a in metric.coefficients])
         kernel = max_right_isometry_algebra(L, metric)
         xs = sample_tangent_vectors(metric.decomposition, 4, seed=2, exact=exact)
-        out.append(("lie_group", kernel.bracket_system, L, kernel.basis, list, metric, xs))
+        out.append((
+            "lie_group", kernel.bracket_system, L, kernel.basis, list, metric, xs,
+            functools.partial(lie_group_go_check, L, metric),
+        ))
     return out
 
 
 def test_exact_systems_match_the_bracket_and_pair_builder():
     cases = _cases((Q(1), Q(2), Q(3), Q(1, 2)))
     assert sorted({c[0] for c in cases}) == ["direct", "lie_group", "normal_transitive", "reduced"]
-    for name, system, L, gens, pair, metric, xs in cases:
+    for name, system, L, gens, pair, metric, xs, _ in cases:
         for x in xs:
             ax = metric.apply(x)
-            rows, rhs = split_equations(system, ax, x)
             want_rows, want_rhs = reference_system(L, ax, x, gens, pair)
-            assert (rows, rhs) == (want_rows, want_rhs), name
-            assert _types(rows, rhs) == _types(want_rows, want_rhs), name
+            for pairs in (frame_rows(system, metric, x), reference_pair_equations(system, ax, x)):
+                rows, rhs = split_equations(pairs)
+                assert (rows, rhs) == (want_rows, want_rhs), name
+                assert _types(rows, rhs) == _types(want_rows, want_rhs), name
             # the Fraction assembly of the same tensors gives the same system
             assert reference_equations(system, ax, x) == (want_rows, want_rhs), name
 
@@ -213,9 +285,11 @@ def test_exact_systems_match_the_bracket_and_pair_builder():
 @pytest.mark.parametrize("coeffs", [(Q(1), Q(2), Q(3), Q(1, 2)), (Q(1), Q(1), Q(1), Q(2))])
 def test_exact_decisions_match_the_fraction_system(coeffs):
     statuses = set()
-    for name, system, L, gens, pair, metric, xs in _cases(coeffs):
+    for name, system, L, gens, pair, metric, xs, _ in _cases(coeffs):
         for x in xs:
-            statuses.add(assert_same_decision(system, metric.apply(x), x, _norm_hint(L, x)))
+            ax, hint = metric.apply(x), _norm_hint(L, x)
+            statuses.add(assert_same_decision(system, ax, x, hint))
+            assert_same_decision(system, ax, x, hint, frame_rows(system, metric, x))
     assert statuses == {"feasible", "infeasible"}
 
 
@@ -265,35 +339,71 @@ def _unit(i, n=8):
 @example((_su3(0), BracketSystem(_su3(0), [_unit(0)], None), _unit(1), _unit(2)))
 def test_integer_decisions_match_the_fraction_system_over_each_field(case):
     L, system, u, x = case
-    rows, rhs = split_equations(system, u, x)
+    pairs = reference_pair_equations(system, u, x)
+    rows, rhs = split_equations(pairs)
     want_rows, want_rhs = reference_equations(system, u, x)
     assert (rows, rhs) == (want_rows, want_rhs)
     assert _types(rows, rhs) == _types(want_rows, want_rhs)
     # float() of every entry the integer pairs stand for, bit for bit
-    pairs, _ = system.equations(u, x)
     want = [[repr(float(v)) for v in row] + [repr(float(b))] for row, b in zip(want_rows, want_rhs)]
     assert [[repr(v) for v in row] for row in pairs.floats()] == want
     # and the float copies of the tensors are float() of their exact entries
     G, S = system._float_tensors
-    d, den = system.radicand, system.denominator
-    assert [G[a, i, j] for a, ent in enumerate(system.generator_brackets) for i, j, *_ in ent] == [
-        float(exact_value(p, q, den, d)) for ent in system.generator_brackets for *_, p, q in ent
+    d, den, Gi, Si = standard_tensors(system)
+    assert [G[a, i, j] for a, ent in enumerate(Gi) for i, j, *_ in ent] == [
+        float(exact_value(p, q, den, d)) for ent in Gi for *_, p, q in ent
     ]
-    assert [(S[a, b, i], S[b, a, i]) for a, b, ent in system.pair_brackets for i, *_ in ent] == [
-        (float(v), -float(v)) for *_, ent in system.pair_brackets for _, p, q in ent
-        for v in [exact_value(p, q, den, d)]
+    assert [(S[a, b, i], S[b, a, i]) for a, b, ent in Si for i, *_ in ent] == [
+        (float(v), -float(v)) for *_, ent in Si for *_, p, q in ent for v in [exact_value(p, q, den, d)]
     ]
+    # and every other entry of the float copies is zero
+    assert np.count_nonzero(G) == sum(map(len, Gi)) and np.count_nonzero(S) == 2 * sum(len(e) for *_, e in Si)
     assert_same_decision(system, u, x, _norm_hint(L, x))
 
 
+def _two_block_metric(L, a, b):
+    blocks = (Subspace.from_indices(L, range(4)), Subspace.from_indices(L, range(4, 8)))
+    return make_metric(ModuleDecomposition(parent=L, blocks=blocks), (a, b))
+
+
+@st.composite
+def frame_cases(draw):
+    """A compiled system of ``compiled_systems`` with a metric whose blocks
+    split the unit vectors, its coefficients over the same field."""
+    L, system, _, x = draw(compiled_systems())
+    owner = draw(st.lists(st.integers(0, 2), min_size=L.dim, max_size=L.dim))
+    classes = [[i for i, b in enumerate(owner) if b == k] for k in sorted(set(owner))]
+    blocks = tuple(Subspace.from_indices(L, c) for c in classes)
+    d = L.field_d or 0
+    positive = st.fractions(min_value=Q(1, 3), max_value=3, max_denominator=3)
+    small = st.fractions(-1, 1, max_denominator=2)
+    quad = st.builds(lambda a, b: Quad(10 + a, b, d) if b else 10 + a, positive, small)
+    coefficients = [draw(st.one_of(positive, quad) if d else positive) for _ in blocks]
+    return L, system, make_metric(ModuleDecomposition(parent=L, blocks=blocks), coefficients), x
+
+
+@settings(max_examples=40, deadline=None)
+@given(frame_cases())
+def test_frame_rows_match_the_standard_rows_over_each_field(case):
+    L, system, metric, x = case
+    got = frame_rows(system, metric, x)
+    ax = reference_apply(metric, x)
+    want = reference_pair_equations(system, ax, x)
+    assert split_equations(got) == split_equations(want)
+    assert float_reprs(got) == float_reprs(want)
+    assert_same_decision(system, ax, x, _norm_hint(L, x), got)
+
+
 def test_zero_right_hand_side_of_a_compiled_system_skips_elimination(monkeypatch):
-    # built first: validating an algebra eliminates to find its center
+    # built first: validating an algebra eliminates to find its center;
+    # with equal coefficients every pair of frame vectors cancels
     algebras = [_su3(d) for d in (0, 21)]
+    metrics = [_two_block_metric(L, Q(3), Q(3)) for L in algebras]
     monkeypatch.setattr(ela, "_eliminate", None)  # any elimination would raise
-    for L in algebras:
+    for L, metric in zip(algebras, metrics):
         system = BracketSystem(L, [[Q(1)] + [Q(0)] * 7], None)
         u = [Q(i + 1) for i in range(L.dim)]
-        res = solve_linear_feasibility(*system.equations(u, u))
+        res = solve_linear_feasibility(frame_rows(system, metric, u), None)
         assert (res.status, res.witness) == ("feasible", (Q(0),))
         assert type(res.witness[0]) is Q
 
@@ -301,10 +411,11 @@ def test_zero_right_hand_side_of_a_compiled_system_skips_elimination(monkeypatch
 def test_mixed_radicands_raise():
     L = _su3(21)  # tensors over Q(sqrt 21)
     system = BracketSystem(L, [[Q(1)] + [Q(0)] * 7], None)
-    u = [Quad(1, 1, 3)] + [Q(1)] * 7
-    x = [Q(0), Q(1)] + [Q(0)] * 6
+    x = [Quad(1, 1, 3)] + [Q(1)] * 7
     with pytest.raises(ValueError, match="mixed radicands"):
-        system.equations(u, x)
+        frame_rows(system, _two_block_metric(L, Q(1), Q(2)), x)
+    with pytest.raises(ValueError, match="mixed radicands"):
+        frame_rows(system, _two_block_metric(L, Q(1), Quad(1, 1, 3)), [Q(1)] * 8)
     with pytest.raises(ValueError, match="mixed radicands"):
         solve_linear_feasibility([[Quad(1, 1, 3)], [Quad(1, 1, 21)]], [Q(1), Q(0)])
 
@@ -323,13 +434,13 @@ def test_deciding_a_compiled_direction_makes_only_the_witness_scalars(monkeypatc
 
     statuses = set()
     for coeffs in ((Q(1), Q(2), Q(3), Q(1, 2)), (Q(1), Q(1), Q(1), Q(2))):
-        for name, system, L, gens, pair, metric, xs in _cases(coeffs):
+        for name, system, L, gens, pair, metric, xs, _ in _cases(coeffs):
+            frame_rows(system, metric, xs[0])  # compiles the frame tensors
             for x in xs:
-                ax = metric.apply(x)
                 made.update(fraction=0, quad=0)
                 monkeypatch.setattr(Q, "__new__", staticmethod(counting_new))
                 monkeypatch.setattr(Quad, "__init__", counting_init)
-                res = solve_linear_feasibility(*system.equations(ax, x))
+                res = solve_linear_feasibility(frame_rows(system, metric, x), None)
                 monkeypatch.undo()
                 statuses.add(res.status)
                 # a witness entry costs at most a Quad and four Fractions (its
@@ -342,8 +453,69 @@ def test_deciding_a_compiled_direction_makes_only_the_witness_scalars(monkeypatc
     assert statuses == {"feasible", "infeasible"}
 
 
+def _rational_directions(metric, count, seed):
+    """Directions with non-integer rational frame coordinates."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        x = [Q(0)] * metric.parent.dim
+        for v in metric.decomposition.ambient.basis:
+            c = Q(rng.randint(-9, 9), rng.randint(1, 7))
+            x = [a + c * b for a, b in zip(x, v)]
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(Q(1), Q(2), Q(3), Q(1, 2)), (Q(1), Q(1), Q(1), Q(2)), (Q(2, 3), Q(5), Q(1, 7), Q(3))]
+)
+def test_frame_path_matches_the_apply_then_assemble_reference(coeffs):
+    statuses = set()
+    for name, system, L, gens, pair, metric, xs, decide in _cases(coeffs):
+        for x in xs + _rational_directions(metric, 3, seed=len(xs)):
+            got = frame_rows(system, metric, x)
+            want = reference_pair_equations(system, reference_apply(metric, x), x)
+            assert split_equations(got) == split_equations(want), name
+            assert float_reprs(got) == float_reprs(want), name
+            res, ref = decide(x), solve_linear_feasibility(want, None, scale_hint=_norm_hint(L, x))
+            assert (res.status, res.witness, res.detail) == (ref.status, ref.witness, ref.detail), name
+            assert [type(v) for v in res.witness or ()] == [type(v) for v in ref.witness or ()], name
+            assert repr((res.residual_rel, res.sigma_ratio)) == repr((ref.residual_rel, ref.sigma_ratio))
+            statuses.add(res.status)
+    assert statuses == {"feasible", "infeasible"}
+
+
+def _bench_decompositions():
+    decs = [g2_decomposition().blocks]
+    for pair in ((2, 1), (3, 1), (3, 2), (4, 1), (5, 2)):
+        aw = aloff_wallach(*pair)
+        decs += [aw.blocks, aw.extension[2]]
+    for spec, n in (("lie:su3", 5), ("lie:su2", 3)):
+        decs.append(cli.build_target(spec, (Q(1),) * n)[1].decomposition)
+    return decs
+
+
+def test_norm_hint_is_the_float_inner_product_of_the_float_copy():
+    for dec in _bench_decompositions():
+        L = dec.parent
+        vecs = sample_tangent_vectors(dec, 4, seed=5, exact=True) + sample_tangent_vectors(dec, 4, seed=5)
+        vecs += [[Q(i - 3, 7) for i in range(L.dim)], [Q(0)] * L.dim, [0.0] * L.dim]
+        for x in vecs:
+            f = [float(v) for v in x]
+            assert _norm_hint(L, x) == float(L.inner_product(f, f)) ** 0.5
+
+
+def test_batched_draws_equal_one_draw_per_call():
+    for seed in range(21):
+        for n in (3, 7, 8, 9, 14):
+            batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                want = [int(single.integers(-9, 10)) for _ in range(n)]
+                assert batched.integers(-9, 10, size=n).tolist() == want
+
+
 def test_float_systems_match_the_bracket_and_pair_builder():
-    for name, system, L, gens, pair, metric, xs in _cases((1.0, 2.0, 3.0, 0.5)):
+    for name, system, L, gens, pair, metric, xs, _ in _cases((1.0, 2.0, 3.0, 0.5)):
         for x in xs:
             ax = metric.apply(x)
             rows, rhs = system.equations(ax, x)

@@ -374,6 +374,26 @@ def test_direct_requires_metric_image_in_complement():
         go_feasible_reduced(space, metric, basis_vec(2))
 
 
+def test_exact_metric_blocks_must_span_the_complement():
+    # blocks over all of su(2), or over one line of the complement, define
+    # no metric on the complement: on the line A e2 = 0, so a feasible
+    # verdict for e2 would be vacuous.  Both are refused for every
+    # formulation, also where X and A X lie in the complement.
+    h = Subspace.from_indices(SU2, [1], label="h")
+    m = Subspace.from_indices(SU2, [0, 2], label="m")
+    space = ReductiveSpace(algebra=SU2, isotropy=h, complement=m)
+    line = make_metric(ModuleDecomposition(parent=SU2, blocks=(Subspace.from_indices(SU2, [0]),)), [Q(2)])
+    for metric in (su2_metric(Q(1), Q(2), Q(3)), line):
+        for decide in (go_feasible_direct, go_feasible_reduced, go_feasible_normal_transitive):
+            for x in (basis_vec(0), basis_vec(2)):
+                with pytest.raises(ValueError, match="blocks must span the complement"):
+                    decide(space, metric, x)
+    blocks = tuple(Subspace.from_indices(SU2, [i]) for i in (0, 2))
+    fitted = make_metric(ModuleDecomposition(parent=SU2, blocks=blocks), [Q(1), Q(3)])
+    for decide in (go_feasible_direct, go_feasible_reduced, go_feasible_normal_transitive):
+        assert decide(space, fitted, [Q(1), Q(0), Q(1)]).method == "exact"
+
+
 def _projected_system(space, metric, X, generators):
     """The geodesic lemma as written: <proj_m [W + X, Y], A X> = 0 for
     every Y in the complement basis, as rows (over W) and right side."""

@@ -7,8 +7,10 @@ which runs fraction-free (in the spirit of Bareiss 1968) on integer
 pairs p + q*sqrt(D), scaling rows by integers and dividing each row by
 its content.  ``rref``, ``solve`` and ``nullspace`` clear each row's
 denominators (``pair_rows``) before it; a caller that already holds
-integer pairs, such as a compiled geodesic system, passes its augmented
-rows to ``solve_augmented``.  Entries become Fraction and Quad only at
+integer pairs passes them in directly: a compiled geodesic system its
+augmented rows to ``solve_augmented``, an algebra's structure table its
+kernel rows (centralizers, the center, commutation kernels) to
+``pair_nullspace``.  Entries become Fraction and Quad only at
 the end.  Zero tests are exact, so ranks and solvability verdicts are
 certificates, not numerical estimates; a float entry is refused with
 TypeError, two radicands with ValueError.
@@ -39,12 +41,12 @@ def clear_denominators(values, d: int = 0):
             split.append((x, 0))
         else:
             raise TypeError(f"exact elimination refuses {type(x).__name__} entry {x!r}")
-    # one pair at a time, as gcd in _combine: lcm(*values) raised RSS 0.3 MiB
-    den = 1
-    for a, b in split:
-        den = math.lcm(den, a.denominator, b.denominator)
-    p = [a.numerator * (den // a.denominator) for a, _ in split]
-    return d, den, p, [b.numerator * (den // b.denominator) for _, b in split]
+    # one pair at a time, as gcd in _combine: lcm(*values) raised RSS 0.3 MiB;
+    # as_integer_ratio reads a Fraction in one call, not two property calls
+    ratios, den = [(a.as_integer_ratio(), b.as_integer_ratio()) for a, b in split], 1
+    for (_, s), (_, t) in ratios:
+        den = math.lcm(den, s, t)
+    return d, den, [n * (den // s) for (n, s), _ in ratios], [n * (den // t) for _, (n, t) in ratios]
 
 
 def pair_combination(coefficients, rows, size: int, d: int) -> list:
@@ -182,18 +184,22 @@ def solve_augmented(system: PairRows):
 
 def nullspace(m):
     """Basis of the kernel of m (list of column vectors as lists)."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if cols == 0:
+    if not m or not m[0]:
         return []
-    red, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
+    return pair_nullspace(pair_rows(m))
+
+
+def pair_nullspace(system: PairRows) -> list:
+    """Basis of the kernel of the integer-pair rows (at least one), as
+    ``nullspace`` gives it: for each free column f, 1 at f, 0 at the other
+    free columns and minus the reduced rows' f entries at the pivots."""
+    a, cols = list(system.rows), len(system.rows[0]) // 2
+    pivots, basis = _eliminate(system.d, a, cols), []
+    for f in (c for c in range(cols) if c not in pivots):
         v = [Q(0)] * cols
         v[f] = Q(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
+        for row, c in zip(a, pivots):
+            v[c] = pair_value(-row[f], -row[cols + f], row[c], system.d)
         basis.append(v)
     return basis
 

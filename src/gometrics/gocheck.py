@@ -110,30 +110,30 @@ class ReductiveSpace:
             raise SpaceValidationError("subspaces belong to a different algebra")
         if h.dim + m.dim != L.dim:
             raise SpaceValidationError("isotropy and complement do not sum to g")
-        joint = list(h.basis) + list(m.basis)
-        if ela.span_rank([list(v) for v in joint]) != L.dim:
+        if ela.span_rank(h.basis + m.basis) != L.dim:
             raise SpaceValidationError("isotropy and complement overlap")
         if h.dim and not is_subalgebra(L, h):
             raise SpaceValidationError("isotropy is not a subalgebra")
-        for w in h.basis:
-            for y in m.basis:
-                if not m.contains(L.bracket(w, y)):
-                    raise SpaceValidationError("complement is not ad(isotropy)-invariant")
+        if not all(m.contains(L.bracket(w, y)) for w in h.basis for y in m.basis):
+            raise SpaceValidationError("complement is not ad(isotropy)-invariant")
 
     @cached_property
-    def _systems(self) -> dict:
-        """Compiled direct and reduced systems by extra generators, filled
-        by ``geodesic_system``."""
-        return {}
+    def _systems(self) -> list:
+        """Compiled direct and reduced systems as (extra, system) pairs,
+        filled by ``geodesic_system``."""
+        return []
 
     def geodesic_system(self, extra: Subspace | None = None) -> BracketSystem:
         """The system of the direct form (no extra) or the reduced form:
         the isotropy plus extra as generators, paired against the
-        complement basis; compiled once per extra Subspace."""
-        if extra not in self._systems:
-            gens = self.isotropy.basis + (extra.basis if extra is not None else ())
-            self._systems[extra] = BracketSystem(self.algebra, gens, self.complement.basis)
-        return self._systems[extra]
+        complement basis; compiled once per extra Subspace, which is found
+        by identity, since hashing it would hash every entry of its basis."""
+        for held, system in self._systems:
+            if held is extra:
+                return system
+        gens = self.isotropy.basis + (extra.basis if extra is not None else ())
+        self._systems.append((extra, BracketSystem(self.algebra, gens, self.complement.basis)))
+        return self._systems[-1][1]
 
     @cached_property
     def normal_transitive_system(self) -> BracketSystem:
@@ -144,23 +144,10 @@ class ReductiveSpace:
         cm = centralizer(L, h).intersect(self.complement, label="centralizer-in-complement")
         return BracketSystem(L, h.basis + cm.basis, h.orthogonal_complement(label="h-perp").basis)
 
-    @cached_property
-    def _complement_perp(self) -> tuple:
-        return self.complement.orthogonal_complement().basis
-
-    def in_complement(self, v) -> bool:
-        """Exact membership of v in the complement: v is orthogonal to the
-        orthogonal complement of the complement, computed once."""
-        L = self.algebra
-        return not any(L.inner_product(v, y) for y in self._complement_perp)
-
     @property
     def is_orthogonal(self) -> bool:
-        for u in self.isotropy.basis:
-            for v in self.complement.basis:
-                if self.algebra.inner_product(u, v):
-                    return False
-        return True
+        L, h, m = self.algebra, self.isotropy, self.complement
+        return not any(L.inner_product(u, v) for u in h.basis for v in m.basis)
 
 
 @dataclass(frozen=True)
@@ -299,14 +286,16 @@ def _geodesic_system(system, metric, X, tolerances, space=None, extra=None) -> F
             ):
                 raise ValueError("the metric's blocks must span the complement")
             dec.frame_systems[system] = system.in_frame(amb.basis, dec.frame_owner)
-        coords = dec.frame_coordinates(X, metric.frame_coefficients[0])
+        coords = dec.ambient.frame_coordinates(X, metric.frame_coefficients[0])
         inside = coords[3]
     else:
-        inside = space is None or not ela.all_exact(X) or space.in_complement(X)
+        inside = space is None or not ela.all_exact(X) or space.complement.contains(X)
     if not inside:
         raise ValueError("X must lie in the complement")
-    for u in extra.basis if extra is not None else ():
-        _validate_skew_generator(space, metric, u)
+    if extra is not None and not any(s is space and e is extra for s, e in metric.skew_generators):
+        for u in extra.basis:
+            _validate_skew_generator(space, metric, u)
+        metric.skew_generators.append((space, extra))
     if exact:
         rows, rhs = system.frame_equations(dec.frame_systems[system], metric.frame_coefficients, coords), None
     else:
@@ -325,8 +314,8 @@ def go_feasible_reduced(
 
     Extra generators must act on the complement by metric-skew
     operators, exactly for float coefficients too; this is validated
-    once per metric, space and generator (``_validate_skew_generator``,
-    memo ``metric.skew_generators``).  X and A X must lie in the
+    once per metric, space and extra (``_validate_skew_generator``, memo
+    ``metric.skew_generators``).  X and A X must lie in the
     complement, which is checked for exact input.
     """
     return _geodesic_system(space.geodesic_system(extra), metric, X, tolerances, space, extra)
@@ -351,15 +340,11 @@ def _validate_skew_generator(space: ReductiveSpace, metric: MetricEndomorphism, 
     ``commutation_kernel``, which is exact for float coefficients too;
     it is tested first, so a generator failing both is not metric-skew.
     """
-    key = (space, tuple(u))
-    if key in metric.skew_generators:
-        return
     if not metric.decomposition.commutation_kernel(metric.coefficients).contains(u):
         raise SpaceValidationError("extra generator is not metric-skew")
     bracket = space.algebra.bracket
-    if not all(space.in_complement(bracket(u, y)) for y in space.complement.basis):
+    if not all(space.complement.contains(bracket(u, y)) for y in space.complement.basis):
         raise SpaceValidationError("extra generator does not preserve the complement")
-    metric.skew_generators.add(key)
 
 
 def go_feasible_normal_transitive(
@@ -420,7 +405,7 @@ def sample_tangent_vectors(
     out = []
     for _ in range(count):
         if exact:
-            d, den, frame, *_ = decomposition.integer_frame
+            d, den, frame, *_ = amb.integer_frame
             # one batch draws the integers one call per frame vector would
             c = rng.integers(-9, 10, size=len(frame)).tolist()
             if not any(c):

@@ -13,13 +13,20 @@ builders matter here:
   algebra of a rank <= 2 root system from Chevalley data, with every
   undetermined sign +1.
 
-Every algebra is validated at construction.  Validation checks what can
-fail (antisymmetry, a diagonal inner product with positive entries,
-Jacobi, ad-invariance <[x, y], z> = <x, [y, z]>, read through
-``lower``, the one dual vector, and lambda); the center is then the
-Killing kernel.  ``normalizer`` and the right-isometry kernel in
-``metrics`` rely on ad-invariance: they pair [e_i, u] with w as the
-i-th coordinate of ``lower([u, w])``, without bracketing unit vectors.
+Each algebra compiles its structure constants, both orders of each
+bracket, and its inner diagonal once into integer pairs p + q sqrt(D)
+over one denominator (``_table``), and is validated on them at
+construction: antisymmetry by comparing entries, a diagonal inner
+product with positive entries, Jacobi, ad-invariance <[x, y], z> =
+<x, [y, z]> from both orders of each bracket, and lambda against the
+center, the kernel of the Killing form computed on the same table.
+Exact brackets, the Killing form, the rows of centralizers and each
+Subspace's bracket table in its own basis (``frame_table``, read by
+``is_subalgebra`` and by a decomposition's reach and kernels) run on
+these pairs too, and reach the one elimination as ``PairRows``.
+``normalizer`` and the right-isometry kernel in ``metrics`` rely on
+ad-invariance: they pair [e_i, u] with w as the i-th coordinate of
+``lower([u, w])``, without bracketing unit vectors.
 """
 
 from __future__ import annotations
@@ -37,6 +44,12 @@ from .scalars import exact_div, exact_sqrt, squarefree_decompose
 
 
 _ZERO = Q(0)
+_NONE: dict = {}  # the entries of a zero bracket; never written
+
+
+def _sparse_pairs(p, q) -> list:
+    """The nonzero entries (i, (p_i, q_i)) of an integer-pair vector."""
+    return [(i, e) for i, e in enumerate(zip(p, q)) if any(e)]
 
 
 class AlgebraValidationError(ValueError):
@@ -80,42 +93,42 @@ class CompactLieAlgebra:
     def _sparse(self):
         """{(i, j): [(k, c), ...]} for i < j with nonzero brackets."""
         out = {}
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                ent = [
-                    (k, self.structure[i][j][k])
-                    for k in range(n)
-                    if self.structure[i][j][k]
-                ]
-                if ent:
-                    out[(i, j)] = ent
+        for i, j in itertools.combinations(range(self.dim), 2):
+            if ent := [(k, c) for k, c in enumerate(self.structure[i][j]) if c]:
+                out[i, j] = ent
         return out
 
-    def _basis_bracket(self, i: int, j: int):
-        if i == j:
-            return []
-        if i < j:
-            return self._sparse.get((i, j), [])
-        return [(k, -c) for k, c in self._sparse.get((j, i), [])]
+    @cached_property
+    def _table(self) -> tuple:
+        """(d, den, brackets, inner): the nonzero structure constants and the
+        inner diagonal as integer pairs (p, q), (p + q sqrt(d)) / den, from
+        one ``clear_denominators``: brackets[i, j] = {k: (p, q)} for each
+        nonzero [e_i, e_j], both orders read off ``structure``."""
+        nonzero = {(i, j, k): c for i, plane in enumerate(self.structure)
+                   for j, row in enumerate(plane) for k, c in enumerate(row) if c}
+        d, den, p, q = ela.clear_denominators([*nonzero.values(), *self.inner_diag], self.field_d or 0)
+        pairs, brackets = list(zip(p, q)), {}
+        for (i, j, k), e in zip(nonzero, pairs):
+            brackets.setdefault((i, j), {})[k] = e
+        return d, den, brackets, pairs[len(nonzero):]
+
+    @cached_property
+    def _killing(self) -> list:
+        """B_ij = tr(ad e_i ad e_j) = sum_a,k c_ia^k c_jk^a as rows of integer
+        pairs over the square of the ``_table`` denominator."""
+        d, _, T, _ = self._table
+        B = [[(0, 0)] * self.dim for _ in range(self.dim)]
+        for ((i, a), entries), j in itertools.product(T.items(), range(self.dim)):
+            for k, (p, q) in entries.items():
+                (u, v), (s, t) = T.get((j, k), _NONE).get(a, (0, 0)), B[i][j]
+                B[i][j] = (s + p * u + q * v * d, t + p * v + q * u)
+        return B
 
     @cached_property
     def killing(self):
-        """Killing matrix B_ij = tr(ad e_i ad e_j), exact."""
-        n = self.dim
-        B = [[Q(0)] * n for _ in range(n)]
-        # ad(e_i) maps e_j to sum_k c[i][j][k] e_k
-        for i in range(n):
-            for j in range(i, n):
-                tot = Q(0)
-                for a in range(n):
-                    for k, cik in self._basis_bracket(i, a):
-                        cj = self.structure[j][k][a]
-                        if cj:
-                            tot = tot + cik * cj
-                B[i][j] = tot
-                B[j][i] = tot
-        return tuple(tuple(row) for row in B)
+        """Killing matrix B_ij = tr(ad e_i ad e_j), exact, read off ``_killing``."""
+        d, den, *_ = self._table
+        return tuple(tuple(ela.pair_value(p, q, den * den, d) for p, q in row) for row in self._killing)
 
     @cached_property
     def structure_np(self) -> np.ndarray:
@@ -140,35 +153,42 @@ class CompactLieAlgebra:
     # -- operations ----------------------------------------------------
 
     def bracket(self, x, y):
-        """[x, y] in basis coordinates, exact when both inputs are exact."""
+        """[x, y] in basis coordinates, exact (on ``_table``) when both
+        inputs are exact."""
         n = self.dim
         if ela.all_exact(x) and ela.all_exact(y):
-            out = [Q(0)] * n
-            for (i, j), ent in self._sparse.items():
-                xi, yj, xj, yi = x[i], y[j], x[j], y[i]
-                if not ((xi and yj) or (xj and yi)):
-                    continue
-                f = xi * yj - xj * yi
-                if f:
-                    for k, c in ent:
-                        out[k] = out[k] + f * c
-            return out
+            d, den, p, q = ela.clear_denominators([*x, *y], self._table[0])
+            xs, ys = (_sparse_pairs(p[s:s + n], q[s:s + n]) for s in (0, n))
+            out, den = self._pair_bracket(xs, ys, d), den * den * self._table[1]
+            return [ela.pair_value(*out[k], den, d) if k in out else _ZERO for k in range(n)]
         xv = np.asarray([float(v) for v in x])
         yv = np.asarray([float(v) for v in y])
         return list(np.einsum("ijk,i,j->k", self.structure_np, xv, yv))
 
-    def ad_matrix(self, x):
-        """Matrix of ad(x) acting on coordinates (rows = output index)."""
-        n = self.dim
-        m = [[Q(0)] * n for _ in range(n)]
-        for (i, j), ent in self._sparse.items():
-            if x[i]:
-                for k, c in ent:
-                    m[k][j] = m[k][j] + x[i] * c
-            if x[j]:
-                for k, c in ent:
-                    m[k][i] = m[k][i] - x[j] * c
-        return m
+    def _pair_bracket(self, x, y, d) -> dict:
+        """[x, y] = sum_ij x_i y_j [e_i, e_j] for integer-pair vectors given
+        as their nonzero entries (i, (p, q)), p + q sqrt(d): {k: (p, q)}
+        without zeros, over their denominators times the ``_table`` one."""
+        T, out = self._table[2], {}
+        for (i, (p, q)), (j, (r, s)) in itertools.product(x, y):
+            a, b = p * r + q * s * d, p * s + q * r
+            for k, (u, v) in T.get((i, j), _NONE).items():
+                e, f = out.get(k, (0, 0))
+                out[k] = (e + a * u + b * v * d, f + a * v + b * u)
+        return {k: e for k, e in out.items() if any(e)}
+
+    def _ad_rows(self, vectors) -> ela.PairRows:
+        """The nonzero rows of ad(b) for each exact b, on integer pairs: row
+        k holds [b, e_j]_k in column j."""
+        n, rows = self.dim, []
+        d, den, p, q = ela.clear_denominators([c for b in vectors for c in b], self._table[0])
+        for s in range(0, len(p), n):
+            b, ad = _sparse_pairs(p[s:s + n], q[s:s + n]), {}
+            for j in range(n):
+                for k, (u, v) in self._pair_bracket(b, [(j, (1, 0))], d).items():
+                    ad.setdefault(k, [0] * (2 * n))[j::n] = u, v  # columns j and n + j
+            rows += ad.values()
+        return ela.PairRows(d, rows, [den * self._table[1]] * len(rows))
 
     def inner_product(self, x, y):
         # zero factors are common (sparse brackets); skip their products
@@ -181,37 +201,37 @@ class CompactLieAlgebra:
     @cached_property
     def center(self) -> "Subspace":
         """The Killing kernel: the center of a validated algebra."""
-        return solution_space(self, self.killing, label="center")
+        return solution_space(self, ela.pair_rows(self.killing), label="center")
 
     # -- validation -----------------------------------------------------
 
     def jacobi_residual(self) -> list:
-        """All nonzero Jacobi defects, as (i, j, k, coefficient list)."""
-        n = self.dim
+        """All nonzero Jacobi defects, as (i, j, k, {r: (p, q)}) with integer
+        pairs over the square of the ``_table`` denominator."""
+        d, _, T, _ = self._table
         bad = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    acc = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, cab in self._basis_bracket(a, b):
-                            for r, cmc in self._basis_bracket(m, c):
-                                acc[r] = acc.get(r, Q(0)) + cab * cmc
-                    if any(acc.values()):
-                        bad.append((i, j, k, acc))
+        for i, j, k in itertools.combinations(range(self.dim), 3):
+            acc = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, (p, q) in T.get((a, b), _NONE).items():
+                    for r, (s, t) in T.get((m, c), _NONE).items():
+                        u, v = acc.get(r, (0, 0))
+                        acc[r] = (u + p * s + q * t * d, v + p * t + q * s)
+            if any(u or v for u, v in acc.values()):
+                bad.append((i, j, k, acc))
         return bad
 
     def validate(self) -> None:
         n = self.dim
         if len(self.structure) != n or len(self.inner) != n:
             raise AlgebraValidationError("tensor dimensions do not match basis")
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.inner[i][j]:
-                    raise AlgebraValidationError("inner product is not diagonal")
-                for k in range(n):
-                    if self.structure[i][j][k] + self.structure[j][i][k]:
-                        raise AlgebraValidationError("structure tensor not antisymmetric")
+        if any(self.inner[i][j] for i in range(n) for j in range(n) if i != j):
+            raise AlgebraValidationError("inner product is not diagonal")
+        d, den, T, g = self._table
+        for (i, j), entries in T.items():
+            back = {k: (-p, -q) for k, (p, q) in T.get((j, i), _NONE).items()}
+            if i == j or back != entries:
+                raise AlgebraValidationError("structure tensor not antisymmetric")
         if not all(x > 0 for x in self.inner_diag):
             raise AlgebraValidationError("inner product not positive definite")
         if self.jacobi_residual():
@@ -219,26 +239,27 @@ class CompactLieAlgebra:
         # ad-invariance: C_ijk = <[e_i,e_j], e_k> is antisymmetric in j, k.
         # C_ijk + C_ikj is nonzero only where [e_i, e_j] or [e_i, e_k] is, so
         # both orders of each nonzero bracket, against every k, cover it.
-        zero, low = [Q(0)] * n, {}
-        for (i, j), ent in self._sparse.items():
-            e = dict(ent)
-            low[i, j] = self.lower([e.get(k, _ZERO) for k in range(n)])
-            low[j, i] = [-x for x in low[i, j]]
-        for (i, j), row in low.items():
-            if any(row[k] + low.get((i, k), zero)[j] for k in range(n)):
-                raise AlgebraValidationError("inner product is not ad-invariant")
+        for (i, j), entries in T.items():
+            for k, (p, q) in entries.items():
+                (a, b), (gp, gq), (hp, hq) = T.get((i, k), _NONE).get(j, (0, 0)), g[k], g[j]
+                if p * gp + q * gq * d + a * hp + b * hq * d or p * gq + q * gp + a * hq + b * hp:
+                    raise AlgebraValidationError("inner product is not ad-invariant")
         # ad x is now skew, so B(x, x) = -|ad x|^2: ker B is the center and
         # [g, g] its orthogonal complement (Helgason 1978, ch. II), and
-        # lambda reads <e_i, e_j> + lambda B_ij = <e_i, pi_center e_j>.
+        # lambda reads <e_i, e_j> + lambda B_ij = <e_i, pi_center e_j>, here
+        # times lden den^2 on integer pairs, the center term only where nonzero.
         if self.lambda_minus_b is not None:
-            lam, K, z = self.lambda_minus_b, self.killing, self.center
-            forms = [(self.lower(c), nc) for c, nc in zip(z.basis, z._norms)]
-            for i, j in itertools.combinations_with_replacement(range(n), 2):
-                on_z = sum((exact_div(f[i] * f[j], nc) for f, nc in forms), _ZERO)
-                if self.inner[i][j] + lam * K[i][j] - on_z:
-                    raise AlgebraValidationError(
-                        "inner product is not lambda * (-Killing) on [g,g]"
-                    )
+            z, on_z = self.center, {}
+            for c, nc in zip(z.basis, z._norms):
+                f = self.lower(c)
+                for i, j in itertools.product([i for i in range(n) if f[i]], repeat=2):
+                    on_z[i, j] = on_z.get((i, j), _ZERO) + exact_div(f[i] * f[j], nc)
+            d, lden, (lp,), (lq,) = ela.clear_denominators([self.lambda_minus_b], d)
+            for (i, row), j in itertools.product(enumerate(self._killing), range(n)):
+                (kp, kq), (gp, gq), want = row[j], g[i] if i == j else (0, 0), on_z.get((i, j), _ZERO)
+                p, q = lden * den * gp + lp * kp + lq * kq * d, lden * den * gq + lp * kq + lq * kp
+                if (p or q or want) and ela.pair_value(p, q, lden * den * den, d) != want:
+                    raise AlgebraValidationError("inner product is not lambda * (-Killing) on [g,g]")
 
     def __repr__(self):
         return f"CompactLieAlgebra({self.name}, dim={self.dim})"
@@ -259,18 +280,12 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, parent, vectors, label: str = "") -> "Subspace":
-        ortho = ela.gram_schmidt(
-            [list(v) for v in vectors], parent.inner_product
-        )
+        ortho = ela.gram_schmidt([list(v) for v in vectors], parent.inner_product)
         return cls(parent=parent, basis=tuple(tuple(v) for v in ortho), label=label)
 
     @classmethod
     def from_indices(cls, parent, indices, label: str = "") -> "Subspace":
-        vecs = []
-        for i in indices:
-            v = [Q(0)] * parent.dim
-            v[i] = Q(1)
-            vecs.append(v)
+        vecs = [[Q(1) if k == i else _ZERO for k in range(parent.dim)] for i in indices]
         return cls.from_vectors(parent, vecs, label=label)
 
     @property
@@ -278,9 +293,10 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v) -> bool:
+        if ela.all_exact(v):  # the frame coordinates of v rebuild it on integers
+            return self.frame_coordinates(v, self.integer_frame[0])[3]
         # the basis is orthogonal, so membership is a zero projection residual
-        res = [x - p for x, p in zip(v, self.project(v))]
-        return ela.vec_is_zero(res)
+        return ela.vec_is_zero([x - p for x, p in zip(v, self.project(v))])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(b) for b in other.basis)
@@ -305,6 +321,60 @@ class Subspace:
             for b, nb in zip(self.basis, self._norms)
         ]
 
+    @cached_property
+    def integer_frame(self) -> tuple:
+        """(d, den, rows, dual_den, duals): rows[m] lists the entries (k, (p,
+        q)), p + q sqrt(d), of basis vector v_m times den, and duals[k] those
+        (m, e) of <e_k, v_m> / <v_m, v_m> times dual_den, all nonzero."""
+        L, out, d, vecs = self.parent, [], 0, list(zip(self.basis, self._norms))
+        duals = [[exact_div(w * v[k], nv) if v[k] else 0 for v, nv in vecs]
+                 for k, w in enumerate(L.inner_diag)]
+        for table, size in ((self.basis, L.dim), (duals, self.dim)):
+            d, den, p, q = ela.clear_denominators([c for v in table for c in v], d)
+            pq = iter(zip(p, q))
+            out += [den, [[(k, e) for k, e in zip(range(size), pq) if any(e)] for _ in table]]
+        return (d, *out)
+
+    def frame_coordinates(self, x, d: int) -> tuple:
+        """(d, den, C, inside): C[m] / den, an integer pair, is the coordinate
+        along v_m of the exact x's projection onto this span, and inside
+        tells whether x lies in it; d includes the basis's radicand."""
+        _, den, rows, dual_den, duals = self.integer_frame
+        d, xden, p, q = ela.clear_denominators(x, d)
+        xs, s, n = list(zip(p, q)), den * dual_den, self.parent.dim
+        coords = ela.pair_combination(xs, duals, len(rows), d)
+        inside = len(rows) == n or ela.pair_combination(coords, rows, n, d) == [(a * s, b * s) for a, b in xs]
+        return d, xden * dual_den, coords, inside
+
+    @cached_property
+    def frame_table(self) -> tuple:
+        """(d, leaks, (den, coordinates), (row_den, rows)) from one bracket
+        per pair a < b of basis vectors, on integer pairs p + q sqrt(d):
+        [v_a, v_b] from the ``integer_frame`` rows; coordinates[a, b] = {m:
+        (p, q)}, its nonzero coordinates along v_m over den, from the dual
+        rows; leaks, the pairs whose bracket these coordinates do not
+        rebuild, so that it leaves this span; and rows[a, b] =
+        ``lower([v_a, v_b])`` as [p.., q..] over row_den for each nonzero
+        bracket."""
+        L, (td, tden, _, g) = self.parent, self.parent._table
+        d, fden, frame, dual_den, duals = self.integer_frame
+        d, n, w = d or td, L.dim, fden * dual_den
+        coordinates, leaks, rows = {}, set(), {}
+        for a, b in itertools.combinations(range(len(frame)), 2):
+            if not (uw := L._pair_bracket(frame[a], frame[b], d)):
+                continue
+            row, whole = [0] * (2 * n), [(0, 0)] * n
+            for k, (p, q) in uw.items():
+                (gp, gq), whole[k] = g[k], (p * w, q * w)
+                row[k], row[n + k] = p * gp + q * gq * d, p * gq + q * gp
+            rows[a, b] = row
+            c = ela.pair_combination(uw.values(), [duals[k] for k in uw], len(frame), d)
+            coordinates[a, b] = {m: e for m, e in enumerate(c) if any(e)}
+            if ela.pair_combination(c, frame, n, d) != whole:
+                leaks.add((a, b))
+        den = fden * fden * tden
+        return d, leaks, (den * dual_den, coordinates), (den * tden, rows)
+
     def sum(self, other: "Subspace", label: str = "") -> "Subspace":
         return Subspace.from_vectors(
             self.parent, list(self.basis) + list(other.basis), label=label
@@ -317,11 +387,9 @@ class Subspace:
         return Subspace.from_vectors(self.parent, vecs, label=label)
 
     def orthogonal_complement(self, label: str = "") -> "Subspace":
-        vecs = []
-        for v in Subspace.from_indices(self.parent, range(self.parent.dim)).basis:
-            w = [x - y for x, y in zip(v, self.project(v))]
-            if not ela.vec_is_zero(w):
-                vecs.append(w)
+        # Gram-Schmidt drops the zero residuals of vectors inside this span
+        units = Subspace.from_indices(self.parent, range(self.parent.dim)).basis
+        vecs = [[x - y for x, y in zip(v, self.project(v))] for v in units]
         return Subspace.from_vectors(self.parent, vecs, label=label)
 
     @cached_property
@@ -450,23 +518,22 @@ def module_product(L: CompactLieAlgebra, p: Subspace, q: Subspace, label: str = 
 
 
 def is_subalgebra(L: CompactLieAlgebra, p: Subspace) -> bool:
-    for a, b in itertools.combinations(p.basis, 2):
-        if not p.contains(L.bracket(a, b)):
-            return False
-    return True
+    """Whether the bracket of each pair of p's basis vectors lies in p,
+    read off ``p.frame_table``."""
+    return not p.frame_table[1]
 
 
-def solution_space(L: CompactLieAlgebra, rows, label: str = "") -> Subspace:
-    """{x in g : r . x = 0 for every row r}: all of g when there are no rows."""
-    if not rows:
+def solution_space(L: CompactLieAlgebra, rows: ela.PairRows, label: str = "") -> Subspace:
+    """{x in g : r . x = 0 for every row r} for integer-pair rows: all of g
+    when there are none."""
+    if not rows.rows:
         return Subspace.from_indices(L, range(L.dim), label=label)
-    return Subspace.from_vectors(L, ela.nullspace(rows), label=label)
+    return Subspace.from_vectors(L, ela.pair_nullspace(rows), label=label)
 
 
 def centralizer(L: CompactLieAlgebra, p: Subspace, label: str = "") -> Subspace:
     """{x in g : [x, b] = 0 for all b in p}."""
-    rows = [row for b in p.basis for row in L.ad_matrix(b)]
-    return solution_space(L, rows, label=label or f"c({p.label})")
+    return solution_space(L, L._ad_rows(p.basis), label=label or f"c({p.label})")
 
 
 def normalizer(L: CompactLieAlgebra, p: Subspace, label: str = "") -> Subspace:
@@ -474,7 +541,7 @@ def normalizer(L: CompactLieAlgebra, p: Subspace, label: str = "") -> Subspace:
     comp = p.orthogonal_complement()
     # <[e_i, b], w> = <e_i, [b, w]> by ad-invariance
     rows = [L.lower(L.bracket(b, w)) for b in p.basis for w in comp.basis]
-    return solution_space(L, rows, label=label or f"n({p.label})")
+    return solution_space(L, ela.pair_rows(rows), label=label or f"n({p.label})")
 
 
 # -- builders -------------------------------------------------------------
@@ -524,10 +591,7 @@ def build_su3(k: int = 2, l: int = 1) -> CompactLieAlgebra:
     for i, j, kk, sgn in cross:
         setb(i, j, [(kk, Q(sgn))])
 
-    inner = [[Q(0)] * n for _ in range(n)]
-    inner[0][0] = Q(L, 2)
-    for i in range(1, n):
-        inner[i][i] = Q(1)
+    inner = [[(Q(L, 2) if i == 0 else Q(1)) if i == j else _ZERO for j in range(n)] for i in range(n)]
 
     labels = ("Z", "X0", "X1", "X2", "X3", "X4", "X5", "X6")
     return CompactLieAlgebra(
@@ -590,16 +654,7 @@ def build_compact_from_rootsystem(
     idx_of = {g: i for i, g in enumerate(pos)}
     dim = r + 2 * npos
 
-    def u_idx(g):
-        return r + 2 * idx_of[g]
-
-    def v_idx(g):
-        return r + 2 * idx_of[g] + 1
-
-    def t_coords(g):
-        """Coordinates of the root vector g in the orthogonal t-basis."""
-        return [rs.inner(g, t) / rs.inner(t, t) for t in tbasis]
-
+    uv = {g: (r + 2 * i, r + 2 * i + 1) for i, g in enumerate(pos)}  # (U_g, V_g) indices
     def chevalley_n(a, b):
         """N_{a,b} = +-(p + 1) for positive a, b with a + b a root, with
         the sign + when a precedes b, so that N_{b,a} = -N_{a,b}."""
@@ -614,21 +669,20 @@ def build_compact_from_rootsystem(
         c[j][i][k] -= coeff
 
     for g in pos:
-        gu, gv = u_idx(g), v_idx(g)
-        for ti in range(r):
-            rate = rs.inner(g, tbasis[ti])
+        gu, gv = uv[g]
+        for ti, t in enumerate(tbasis):
+            rate = rs.inner(g, t)
             add(ti, gu, gv, rate)
             add(ti, gv, gu, -rate)
-        for ti, coeff in enumerate(t_coords(g)):
-            add(gu, gv, ti, coeff)
+            add(gu, gv, ti, rate / rs.inner(t, t))  # g in the orthogonal t-basis
     for i, j in itertools.combinations(range(npos), 2):
         a, b = pos[i], pos[j]
         na, nb = n_of[a], n_of[b]
-        au, av, bu, bv = u_idx(a), v_idx(a), u_idx(b), v_idx(b)
+        (au, av), (bu, bv) = uv[a], uv[b]
         s = tuple(x + y for x, y in zip(a, b))
         if rs.is_root(s):
             S = na * nb * chevalley_n(a, b) / n_of[s]
-            su, sv = u_idx(s), v_idx(s)
+            su, sv = uv[s]
             add(au, bu, su, S)
             add(av, bv, su, -S)
             add(au, bv, sv, S)
@@ -639,7 +693,7 @@ def build_compact_from_rootsystem(
                 g = diff
                 Nab = -(rs.inner(g, g) / rs.inner(a, a)) * chevalley_n(b, g)
                 D = na * nb * Nab / n_of[g]
-                gu, gv = u_idx(g), v_idx(g)
+                gu, gv = uv[g]
                 add(au, bu, gu, -D)
                 add(av, bv, gu, -D)
                 add(au, bv, gv, D)
@@ -648,23 +702,15 @@ def build_compact_from_rootsystem(
                 g = tuple(-x for x in diff)
                 Nab = (rs.inner(g, g) / rs.inner(b, b)) * chevalley_n(g, a)
                 D = na * nb * Nab / n_of[g]
-                gu, gv = u_idx(g), v_idx(g)
+                gu, gv = uv[g]
                 add(au, bu, gu, D)
                 add(av, bv, gu, D)
                 add(au, bv, gv, D)
                 add(av, bu, gv, -D)
 
-    inner = [[Q(0)] * dim for _ in range(dim)]
-    for ti in range(r):
-        inner[ti][ti] = rs.inner(tbasis[ti], tbasis[ti])
-    for g in pos:
-        inner[u_idx(g)][u_idx(g)] = Q(1)
-        inner[v_idx(g)][v_idx(g)] = Q(1)
-
-    labels = [f"t{i + 1}" for i in range(r)]
-    for g in pos:
-        lab = rs.label(g)
-        labels.extend([f"U[{lab}]", f"V[{lab}]"])
+    diag = [rs.inner(t, t) for t in tbasis] + [Q(1)] * (2 * npos)
+    inner = [[diag[i] if i == j else _ZERO for j in range(dim)] for i in range(dim)]
+    labels = [f"t{i + 1}" for i in range(r)] + [f"{x}[{rs.label(g)}]" for g in pos for x in "UV"]
 
     return CompactLieAlgebra(
         name=f"compact[{rs.name}]",
@@ -716,5 +762,4 @@ def abelian(n: int, name: str = "") -> CompactLieAlgebra:
         basis_labels=[f"c{i + 1}" for i in range(n)],
         structure=c,
         inner=inner,
-        lambda_minus_b=None,
     )

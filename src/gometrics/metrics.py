@@ -7,16 +7,17 @@ orthogonal module decomposition.
 
 Facts that depend only on the decomposition are computed lazily, once
 per ``ModuleDecomposition``: the block of each vector of the frame of
-block bases (``frame_owner``); one table of exact bracket coordinates in
-that frame, one bracket per pair of frame vectors (``frame_brackets``),
-from which are read the blocks that the bracket of each pair of blocks
+block bases (``frame_owner``); one bracket table of that frame on
+integer pairs, one bracket per pair of frame vectors (the ``frame_table``
+of ``ambient``), from which are read the exact bracket coordinates
+(``frame_brackets``), the blocks that the bracket of each pair of blocks
 reaches (``bracket_reach``), the Ricci tensor as a Laurent polynomial in
 the coefficients (``ricci_polynomial``) and the rows of the commutation
 kernel of each coefficient partition (``commutation_kernel``, keyed by
 ``partition_key``); the block sums that are subalgebras, read off the
-reach (``block_sum_indices``, ``block_sums``); and the frame and its
-dual rows on integers (``integer_frame``), in which an exact metric is
-diagonal (``frame_coefficients``).  The kernel depends
+reach (``block_sum_indices``, ``block_sums``); and the coefficients of
+an exact metric on the frame's integer rows (``ambient.integer_frame``),
+in which it is diagonal (``frame_coefficients``).  The kernel depends
 only on which coefficients are equal, so it is exact for float metrics
 too: a float counts as the value it holds.  The right-isometry algebra,
 adaptedness (``is_adapted``, hence ``detect_naturally_reductive``) and
@@ -66,11 +67,9 @@ class ModuleDecomposition:
                 raise MetricValidationError("decomposition contains a zero block")
             if b.parent is not self.parent:
                 raise MetricValidationError("block belongs to a different algebra")
-        for p, q in itertools.combinations(self.blocks, 2):
-            for u in p.basis:
-                for v in q.basis:
-                    if self.parent.inner_product(u, v):
-                        raise MetricValidationError("blocks are not orthogonal")
+        pairs = itertools.combinations(self.blocks, 2)
+        if any(self.parent.inner_product(u, v) for p, q in pairs for u in p.basis for v in q.basis):
+            raise MetricValidationError("blocks are not orthogonal")
         if self.ambient.dim != self.dim:
             raise MetricValidationError("blocks overlap")
 
@@ -106,52 +105,33 @@ class ModuleDecomposition:
         w in a block with another coefficient.  Those rows, over frame
         vectors u and w in different partition classes, cut out the
         kernel; the rows of a pair (w, u) are those of (u, w) negated, so
-        the rows ``_frame_table`` keeps for a < b give them all.  When the
+        the rows ``ambient.frame_table`` keeps for a < b give them all.  When the
         blocks span g the kernel is the right-isometry algebra.
         """
         key = partition_key(coefficients)
         if key not in self.right_isometry_kernels:
             L = self.parent
             cls = [key[i] for i in self.frame_owner]
-            rows = [row for (a, b), row in self._frame_table[2].items() if cls[a] != cls[b]]
-            sub = solution_space(L, rows, label="max-right-isometry")
+            d, _, _, (den, table) = self.ambient.frame_table
+            rows = [row for (a, b), row in table.items() if cls[a] != cls[b]]
+            sub = solution_space(L, ela.PairRows(d, rows, [den] * len(rows)), label="max-right-isometry")
             assert self.dim < L.dim or is_subalgebra(L, sub)
             self.right_isometry_kernels[key] = sub
         return self.right_isometry_kernels[key]
 
     @cached_property
-    def _frame_table(self) -> tuple:
-        """(``frame_brackets``, the pairs a < b whose bracket leaves the
-        ambient span, {(a, b): ``lower([v_a, v_b])``} for a < b with a
-        nonzero bracket: the rows of ``commutation_kernel``), from one
-        bracket per pair a < b.  A bracket lies in the span exactly when
-        its frame coordinates keep its length:
-        sum_m K[a][b][m]^2 <v_m, v_m> = <[v_a, v_b], [v_a, v_b]>."""
-        L = self.parent
-        vecs, norms = self.ambient.basis, self.ambient._norms
-        n = len(vecs)
-        zeros = (_ZERO,) * n
-        K = [[zeros] * n for _ in range(n)]
-        leaks, rows = set(), {}
-        for a, b in itertools.combinations(range(n), 2):
-            uw = L.bracket(vecs[a], vecs[b])
-            if not any(uw):
-                continue
-            rows[a, b] = tuple(c or _ZERO for c in L.lower(uw))
-            coords = [exact_div(L.inner_product(uw, v), nv) for v, nv in zip(vecs, norms)]
-            K[a][b] = tuple(c or _ZERO for c in coords)
-            K[b][a] = tuple(-c or _ZERO for c in coords)
-            kept = sum((c * c * nv for c, nv in zip(coords, norms) if c), _ZERO)
-            if kept != L.inner_product(uw, uw):
-                leaks.add((a, b))
-        return tuple(tuple(row) for row in K), leaks, rows
-
-    @property
     def frame_brackets(self) -> tuple:
         """K[a][b][m], the coordinate along v_m of [v_a, v_b], exact, in
         the frame v of concatenated block bases; K[b][a] = -K[a][b], and
         every zero coordinate is one shared zero."""
-        return self._frame_table[0]
+        d, _, (den, coordinates), _ = self.ambient.frame_table
+        n = len(self.frame_owner)
+        K = [[(_ZERO,) * n] * n for _ in range(n)]
+        for (a, b), c in coordinates.items():
+            for x, y, s in ((a, b, 1), (b, a, -1)):
+                K[x][y] = tuple(ela.pair_value(s * c[m][0], s * c[m][1], den, d) if m in c else _ZERO
+                                for m in range(n))
+        return tuple(tuple(row) for row in K)
 
     @cached_property
     def ricci_polynomial(self) -> dict:
@@ -206,43 +186,19 @@ class ModuleDecomposition:
         return out
 
     @cached_property
-    def integer_frame(self) -> tuple:
-        """(d, den, rows, dual_den, duals): rows[m] lists the entries (k, (p,
-        q)), p + q sqrt(d), of frame vector v_m times den, and duals[k] those
-        (m, e) of <e_k, v_m> / <v_m, v_m> times dual_den, all nonzero."""
-        L, vecs, norms, out, d = self.parent, self.ambient.basis, self.ambient._norms, [], 0
-        duals = [[exact_div(w * v[k], nv) for v, nv in zip(vecs, norms)] for k, w in enumerate(L.inner_diag)]
-        for table in (vecs, duals):
-            d, den, p, q = ela.clear_denominators([c for v in table for c in v], d)
-            pq = iter(zip(p, q))
-            out += [den, [[(k, e) for k, e in zip(range(len(table[0])), pq) if any(e)] for _ in table]]
-        return (d, *out)
-
-    def frame_coordinates(self, x, d: int) -> tuple:
-        """(d, den, C, inside): C[m] / den, an integer pair, is the frame
-        coordinate of the exact x's projection onto the ambient span, and
-        inside tells whether x lies in it; d includes the frame's radicand."""
-        _, den, rows, dual_den, duals = self.integer_frame
-        d, xden, p, q = ela.clear_denominators(x, d)
-        xs, s, n = list(zip(p, q)), den * dual_den, self.parent.dim
-        coords = ela.pair_combination(xs, duals, len(rows), d)
-        inside = len(rows) == n or ela.pair_combination(coords, rows, n, d) == [(a * s, b * s) for a, b in xs]
-        return d, xden * dual_den, coords, inside
-
-    @cached_property
     def bracket_reach(self) -> dict:
         """For each pair i <= j of block indices, in order, the set of
         indices of the blocks that [block i, block j] has a component in,
         plus None when it leaves the ambient span; read off
-        ``_frame_table``."""
-        K, leaks, _ = self._frame_table
+        ``ambient.frame_table``."""
+        _, leaks, (_, coordinates), _ = self.ambient.frame_table
         owner = self.frame_owner
         pairs = itertools.combinations_with_replacement(range(len(self.blocks)), 2)
         out = {pair: set() for pair in pairs}
         # owner is nondecreasing, so a < b gives owner[a] <= owner[b]
         for a, b in itertools.combinations(range(len(owner)), 2):
             reach = out[owner[a], owner[b]]
-            reach.update(owner[m] for m, c in enumerate(K[a][b]) if c)
+            reach.update(owner[m] for m in coordinates.get((a, b), ()))
             if (a, b) in leaks:
                 reach.add(None)
         return out
@@ -311,8 +267,8 @@ class MetricEndomorphism:
         """A(v) for v in the ambient span, exact (on frame coordinates)
         when everything is exact."""
         if self.is_exact and ela.all_exact(v):
-            (d, den, alpha), (_, fden, rows, *_) = self.frame_coefficients, self.decomposition.integer_frame
-            d, cden, coords, _ = self.decomposition.frame_coordinates(v, d)
+            amb, (d, den, alpha) = self.decomposition.ambient, self.frame_coefficients
+            (_, fden, rows, *_), (d, cden, coords, _) = amb.integer_frame, amb.frame_coordinates(v, d)
             scaled = [(ap * cp + aq * cq * d, ap * cq + aq * cp) for (ap, aq), (cp, cq) in zip(alpha, coords)]
             acc = ela.pair_combination(scaled, rows, len(v), d)
             return [ela.pair_value(p, q, den * cden * fden, d) for p, q in acc]
@@ -322,14 +278,15 @@ class MetricEndomorphism:
     def frame_coefficients(self) -> tuple:
         """(d, den, alpha): alpha[m] / den, an integer pair, is the exact
         coefficient of frame vector m; d includes the frame's radicand."""
-        d, den, p, q = ela.clear_denominators(self.coefficients, self.decomposition.integer_frame[0])
+        d, den, p, q = ela.clear_denominators(self.coefficients, self.decomposition.ambient.integer_frame[0])
         return d, den, [(p[b], q[b]) for b in self.decomposition.frame_owner]
 
     @cached_property
-    def skew_generators(self) -> set:
-        """(space, generator) pairs that ``gocheck`` has validated as
-        metric-skew for this metric, so each is checked once."""
-        return set()
+    def skew_generators(self) -> list:
+        """(space, extra) pairs whose generators ``gocheck`` has validated as
+        metric-skew for this metric, so each is checked once; compared by
+        identity, since hashing them would hash every entry of their bases."""
+        return []
 
     @cached_property
     def matrix_np(self) -> np.ndarray:

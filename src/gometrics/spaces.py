@@ -45,9 +45,7 @@ from .liealg import (
     abelian,
     build_compact_from_rootsystem,
     build_su3,
-    centralizer,
     direct_sum,
-    is_subalgebra,
 )
 from .metrics import (
     MetricEndomorphism,
@@ -435,25 +433,34 @@ class G2Decomposition:
 
 
 def _killing_profile(L: CompactLieAlgebra, p: Subspace):
-    """(dim, rank, negative_definite) of a subalgebra, exactly.
+    """(dim, rank, negative_definite) of a subalgebra, exactly, on integer
+    pairs: its structure constants in its basis v are ``p.frame_table``'s.
 
     A subalgebra of a compact algebra is compact, so its Killing form is
-    negative definite exactly when its center, the centralizer of p in
-    p, is 0 (Helgason 1978, ch. II).  Rank is the dimension of the
-    centralizer of a regular element inside p, checked to be abelian.
+    negative definite exactly when its center is 0 (Helgason 1978, ch. II).
+    Rank is the dimension of the centralizer of a regular element inside
+    p, checked to be abelian.
     """
-    if not is_subalgebra(L, p):
+    d, leaks, (den, C), _ = p.frame_table
+    if leaks:
         raise ValueError("subspace is not closed under the bracket")
-    negdef = centralizer(L, p).intersect(p).dim == 0
+    n, cols = p.dim, list(zip(*p.basis))
+
+    def centralizer_in_p(key, weight) -> list:
+        # {sum_s y_s v_s : [., v] = 0}, v = v_t with rows (t, m) or sum_t weight(t) v_t with rows m
+        rows = {}
+        for (s, t), coords in C.items():
+            for (a, b, sign), (m, (u, v)) in itertools.product(((s, t, 1), (t, s, -1)), coords.items()):
+                row, f = rows.setdefault(key(b, m), [0] * (2 * n)), sign * weight(b)
+                row[a], row[n + a] = row[a] + f * u, row[n + a] + f * v
+        rows = [r for r in rows.values() if any(r)] or [[0] * (2 * n)]
+        return [ela.matvec(cols, y) for y in ela.pair_nullspace(ela.PairRows(d, rows, [den] * len(rows)))]
+
+    negdef = not centralizer_in_p(lambda t, m: (t, m), lambda t: 1)
     for attempt in range(1, 4):
-        weights = [Q((i + 1) ** attempt) for i in range(p.dim)]
-        g0 = ela.matvec(list(zip(*p.basis)), weights)
-        cent = centralizer(L, Subspace.from_vectors(L, [g0])).intersect(p)
-        if all(
-            ela.vec_is_zero(L.bracket(u, w))
-            for u, w in itertools.combinations(cent.basis, 2)
-        ):
-            return p.dim, cent.dim, negdef
+        cent = centralizer_in_p(lambda t, m: m, lambda t: (t + 1) ** attempt)
+        if all(ela.vec_is_zero(L.bracket(u, w)) for u, w in itertools.combinations(cent, 2)):
+            return n, len(cent), negdef
     raise ValueError("no regular element found for the rank computation")
 
 

@@ -21,6 +21,7 @@ from gometrics.gocheck import (
     SpaceValidationError,
     go_check,
     go_feasible_reduced,
+    sample_tangent_vectors,
     solve_linear_feasibility,
 )
 from gometrics.liealg import CompactLieAlgebra, Subspace, build_su2, is_subalgebra
@@ -253,7 +254,7 @@ def test_extra_generators_are_validated_once_per_metric(monkeypatch):
     x = [Q(0)] + [Q(1)] * (L.dim - 1)
     x = aw.space.complement.project(x)
     first = go_feasible_reduced(aw.space, metric, x, extra=axis)
-    assert (aw.space, tuple(axis.basis[0])) in metric.skew_generators
+    assert [(s is aw.space, e is axis) for s, e in metric.skew_generators] == [(True, True)]
     calls = _count_calls(monkeypatch, (CompactLieAlgebra, "bracket"), (Subspace, "project"))
     again = go_feasible_reduced(aw.space, metric, x, extra=axis)
     assert again == first
@@ -302,15 +303,34 @@ def test_bad_extra_generator_raises_on_every_first_direction():
             go_feasible_reduced(aw.space, metric, x, extra=extra)
         with pytest.raises(SpaceValidationError, match="metric-skew"):
             go_check(aw.space, metric, formulation="reduced", extra=extra, count=3, exact=True)
-    assert metric.skew_generators == {(aw.space, tuple(extra.basis[0]))}
+    # an extra that fails is not recorded, so every call checks it again
+    assert metric.skew_generators == []
+
+
+def test_reduced_directions_hash_no_fraction(monkeypatch):
+    # the memo of validated extras and the compiled reduced systems are
+    # found by identity: hashing the frozen space or the extra Subspace
+    # hashed every Fraction of their bases, on every direction
+    aw = aloff_wallach(2, 1)
+    axis = Subspace.from_indices(aw.algebra, (1,), label="axis")
+    samples = sample_tangent_vectors(aw.blocks, 12, seed=0, exact=True)
+    hashes = []
+    for n in (4, 12):
+        metric = aw_metric(aw, Q(1), Q(2), Q(3), Q(1))
+        calls = _count_calls(monkeypatch, (Q, "__hash__"))
+        go_check(aw.space, metric, formulation="reduced", extra=axis, samples=samples[:n])
+        monkeypatch.undo()
+        hashes.append(calls["__hash__"])
+    assert hashes[0] == hashes[1]
 
 
 def test_reach_and_ricci_make_one_bracket_per_frame_pair(monkeypatch):
     dec = g2_decomposition()
     fresh = ModuleDecomposition(parent=dec.algebra, blocks=dec.blocks.blocks)
-    calls = _count_calls(monkeypatch, (CompactLieAlgebra, "bracket"))
+    calls = _count_calls(monkeypatch, (CompactLieAlgebra, "bracket"), (CompactLieAlgebra, "_pair_bracket"))
     assert fresh.bracket_reach == dec.blocks.bracket_reach
     assert fresh.ricci_polynomial == dec.blocks.ricci_polynomial
-    # 14 frame vectors: 91 pairs a < b, where the projection loop and a
-    # full table made 121 + 196
-    assert calls == {"bracket": 91}
+    # 14 frame vectors: 91 pairs a < b, bracketed once each on integer
+    # pairs, where the projection loop and a full table made 121 + 196
+    # exact brackets
+    assert calls == {"bracket": 0, "_pair_bracket": 91}

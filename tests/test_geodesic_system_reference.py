@@ -127,7 +127,7 @@ def frame_rows(system, metric, x):
     """The rows the formulations decide for exact x: assembled in the
     metric's frame from x's frame coordinates."""
     dec = metric.decomposition
-    coords = dec.frame_coordinates(x, metric.frame_coefficients[0])
+    coords = dec.ambient.frame_coordinates(x, metric.frame_coefficients[0])
     assert coords[3], "x leaves the frame's span"
     if system not in dec.frame_systems:
         dec.frame_systems[system] = system.in_frame(dec.ambient.basis, dec.frame_owner)

@@ -1,6 +1,7 @@
 """Compact Lie algebra constructions against independent matrix oracles."""
 
 import copy
+import functools
 import hashlib
 import itertools
 import time
@@ -401,3 +402,45 @@ def test_validate_rejects_e2_in_either_basis_order(rotation_first):
     # on the rotation, so only the reversed pairs reach ad of a translation
     with pytest.raises(liealg.AlgebraValidationError, match="not ad-invariant"):
         _e2(rotation_first)
+
+
+def _without_caches(alg, **fields):
+    """A copy of alg with these fields replaced and none of its cached
+    properties, the integer structure table among them."""
+    bad = copy.copy(alg)
+    for name in [k for k in vars(bad) if isinstance(getattr(type(bad), k, None), functools.cached_property)]:
+        del vars(bad)[name]
+    vars(bad).update(fields)
+    return bad
+
+
+def _with_entry(structure, i, j, k, value, both_orders=True):
+    out = [[list(row) for row in plane] for plane in structure]
+    out[i][j][k] = value
+    if both_orders:
+        out[j][i][k] = -value
+    return out
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_compact_from_rootsystem(build_g2(), cartan_basis=_G2_CARTAN), lambda: build_su3(2, 1)],
+    ids=["g2", "su3(2,1)"],
+)
+def test_validate_catches_changes_in_the_irrational_part_alone(build):
+    # G2 lives over Q(sqrt 3) and su3(2, 1) over Q(sqrt 21): shifting the
+    # sqrt(d) part of one structure constant, and nothing else, must fail
+    alg = build()
+    _without_caches(alg).validate()
+    irrational = [(i, j, k, c) for (i, j), ent in alg._sparse.items() for k, c in ent if isinstance(c, Quad)]
+    assert irrational
+    for i, j, k, c in irrational:
+        shifted = Quad(c.a, c.b + Q(1, 5), c.d)
+        with pytest.raises(liealg.AlgebraValidationError, match="Jacobi|not ad-invariant"):
+            _without_caches(alg, structure=_with_entry(alg.structure, i, j, k, shifted)).validate()
+        broken = _with_entry(alg.structure, i, j, k, shifted, both_orders=False)
+        with pytest.raises(liealg.AlgebraValidationError, match="not antisymmetric"):
+            _without_caches(alg, structure=broken).validate()
+    for shift in (Q(1, 7), -Q(1, 100)):
+        with pytest.raises(liealg.AlgebraValidationError, match=r"lambda \* \(-Killing\)"):
+            _without_caches(alg, lambda_minus_b=alg.lambda_minus_b + shift).validate()

@@ -39,6 +39,8 @@ from gometrics.liealg import CompactLieAlgebra
 from gometrics.scalars import format_scalar
 from gometrics.spaces import _aw_ambient, _killing_profile
 
+from test_structure_table_reference import reference_ad_matrix
+
 AW = aloff_wallach(2, 1)
 
 
@@ -410,7 +412,7 @@ def reference_killing_profile(L, p):
     negdef = bool(np.linalg.eigvalsh(np.array(sub.killing, dtype=float)).max() < -1e-9)
     for attempt in range(1, 4):
         g0 = [Q((i + 1) ** attempt) for i in range(p.dim)]
-        null = ela.nullspace(sub.ad_matrix(g0))
+        null = ela.nullspace(reference_ad_matrix(sub, g0))
         if all(
             ela.vec_is_zero(sub.bracket(u, w))
             for u, w in itertools.combinations(null, 2)

@@ -285,8 +285,8 @@ class Subspace:
 
     @classmethod
     def from_indices(cls, parent, indices, label: str = "") -> "Subspace":
-        vecs = [[Q(1) if k == i else _ZERO for k in range(parent.dim)] for i in indices]
-        return cls.from_vectors(parent, vecs, label=label)
+        units = [tuple(Q(1) if k == i else _ZERO for k in range(parent.dim)) for i in dict.fromkeys(indices)]
+        return cls(parent=parent, basis=tuple(units), label=label)  # orthogonal: diagonal inner product
 
     @property
     def dim(self) -> int:
@@ -652,9 +652,9 @@ def build_compact_from_rootsystem(
 
     n_of = {g: exact_sqrt(rs.inner(g, g), field_d) / 2 for g in pos}
     idx_of = {g: i for i, g in enumerate(pos)}
+    uv = {g: (r + 2 * i, r + 2 * i + 1) for i, g in enumerate(pos)}  # (U_g, V_g) indices
     dim = r + 2 * npos
 
-    uv = {g: (r + 2 * i, r + 2 * i + 1) for i, g in enumerate(pos)}  # (U_g, V_g) indices
     def chevalley_n(a, b):
         """N_{a,b} = +-(p + 1) for positive a, b with a + b a root, with
         the sign + when a precedes b, so that N_{b,a} = -N_{a,b}."""

@@ -246,6 +246,14 @@ def test_subspace_sum_intersect_complement():
             assert alg.inner_product(u, w) == 0
 
 
+def test_from_indices_gives_the_gram_schmidt_basis_of_its_coordinate_vectors():
+    # every inner product is diagonal, so the coordinate vectors are kept as
+    # they are; a repeated index is dropped, as Gram-Schmidt drops it
+    for alg in (build_su3(2, 1), build_compact_from_rootsystem(build_g2(), _G2_CARTAN)):
+        units = [[Q(int(k == i)) for k in range(alg.dim)] for i in (3, 0, 3, 1)]
+        assert Subspace.from_indices(alg, (3, 0, 3, 1)).basis == Subspace.from_vectors(alg, units).basis
+
+
 def test_module_operations_on_su3_planes():
     alg = build_su3(2, 1)
     torus = Subspace.from_indices(alg, (0, 1), label="torus")

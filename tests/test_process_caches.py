@@ -281,7 +281,7 @@ def test_set_up_makes_its_exact_structure_on_integers(clean_env):
     # process builds the G2 decomposition and W[2,1].  Validation, the
     # Killing form, centralizers and bracket tables in Fraction and Quad
     # arithmetic made 40,289 of them on CPython 3.11; on integer structure
-    # tables it is 5,988.  The bound is a third of the Fraction set-up.
+    # tables it is 5,207.  The bound is a third of the Fraction set-up.
     code = (
         "import fractions\n"
         "from gometrics import spaces\n"
